@@ -12,7 +12,9 @@
 # identity, fail-closed on an armed load/trace_read, exp29), validate the
 # metrics-dump / trace-dump exporter output with a real parser, and hold
 # src/obs+src/serve+src/stream+src/recover+src/la+src/load to a >= 85%
-# line-coverage floor (Debug+gcov leg). New warnings in src/la
+# line-coverage floor (Debug+gcov leg), run the la/nn/determinism suites on
+# all three kernel lane paths (-march=native, x86-64-v3, EMBER_SIMD=OFF)
+# and a full-scale D4 pipeline smoke. New warnings in src/la
 # and src/nn fail the build (-Werror on those targets).
 # Usage: ci/check.sh [-j N]
 set -euo pipefail
@@ -38,6 +40,25 @@ run_config() {
 
 run_config build-release -DCMAKE_BUILD_TYPE=Release
 run_config build-asan -DCMAKE_BUILD_TYPE=Debug -DEMBER_SANITIZE=ON -DEMBER_FAILPOINTS_ENABLED=ON
+
+# Lane-path leg: src/la picks its lane type at build time from the target
+# (AVX+FMA intrinsics, or portable float[8]). GemmBt == Dot, the nn 0-ULP
+# parity suites and the determinism sweeps must hold on every path: the
+# host target (build-release above, -march=native), the intrinsics path
+# without AVX-512 registers (-march=x86-64-v3, needs an AVX2 host), and the
+# portable path (EMBER_SIMD=OFF, baseline x86-64, contraction off).
+lane_leg() {
+  local dir="$1"; shift
+  echo "==> configure ${dir} (EMBER_SIMD=OFF $*)"
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release -DEMBER_SIMD=OFF "$@" >/dev/null
+  echo "==> build ${dir}"
+  cmake --build "${dir}" -j "${JOBS}" --target la_test nn_test determinism_test
+  (cd "${dir}" && ctest --output-on-failure -R '^(la|nn|determinism)_test$')
+}
+echo "==> numeric-contract suites on every lane path"
+(cd build-release && ctest --output-on-failure -R '^(la|nn|determinism)_test$')
+lane_leg build-simd-v3 -DCMAKE_CXX_FLAGS=-march=x86-64-v3
+lane_leg build-simd-off
 
 # Fault-injection leg: the fault suite (failpoints, retries, breaker,
 # degraded mode, hot reload, the exhaustive corruption sweep) plus the
@@ -125,6 +146,11 @@ echo "==> build build-nofp"
 cmake --build build-nofp -j "${JOBS}" --target serve_test fault_test stream_test recover_test load_test exp22_serving ember_cli
 echo "==> ctest build-nofp (serve/fault/stream/recover/load)"
 (cd build-nofp && ctest --output-on-failure -R '^(serve|fault|stream|recover|load)_test$')
+
+echo "==> bulk pipeline smoke (Release): D4 at full scale must exit 0"
+# Full-scale D4 drives the exact-scan GEMM over every row shape; a kernel
+# reading past its operands crashes here.
+./build-release/tools/ember_cli pipeline D4 --scale 1.0 >/dev/null
 
 echo "==> exp20 micro-kernel smoke (Release)"
 ./build-release/bench/exp20_micro_kernels --benchmark_min_time=0.01

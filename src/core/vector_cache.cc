@@ -16,9 +16,11 @@ namespace ember::core {
 namespace {
 
 /// 0003 added the checksummed container (trailing length + FNV-1a) and the
-/// temp-file + rename publish. 0002 files — and any torn, truncated, or
-/// bit-flipped file — simply miss and are recomputed.
-constexpr char kMagic[8] = {'E', 'M', 'B', 'V', '0', '0', '0', '3'};
+/// temp-file + rename publish. 0004 marks vectors computed with the explicit
+/// fused-lane kernels, whose low bits differ from the compiler-contracted
+/// ones. 0002/0003 files — and any torn, truncated, or bit-flipped file —
+/// simply miss and are recomputed.
+constexpr char kMagic[8] = {'E', 'M', 'B', 'V', '0', '0', '0', '4'};
 
 bool LoadMatrix(const std::string& path, la::Matrix& out) {
   if (!fail::Check("cache/load").ok()) return false;  // injected miss

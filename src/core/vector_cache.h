@@ -12,7 +12,7 @@ namespace ember::core {
 
 /// On-disk cache of batch-vectorized sentence matrices, keyed by model code
 /// and a caller-chosen key. Files are little-endian dumps in the
-/// checksummed "EMBV0003" container (common/binary_io.h), published
+/// checksummed "EMBV0004" container (common/binary_io.h), published
 /// atomically via temp file + rename; stale-format, truncated, or
 /// corrupted files fail closed — they miss and are recomputed.
 class VectorCache {

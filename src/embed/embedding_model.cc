@@ -1,10 +1,16 @@
 #include "embed/embedding_model.h"
 
+#include <algorithm>
+
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 
 namespace ember::embed {
+
+namespace {
+constexpr size_t kMaxEncodeChunk = 16;
+}  // namespace
 
 double EmbeddingModel::Initialize() {
   if (!initialized_) {
@@ -26,8 +32,12 @@ la::Matrix EmbeddingModel::VectorizeAll(
   // Deterministic data parallelism: each sentence writes only its own
   // preallocated row, and the chunking never depends on the thread count.
   // Chunk spans take the chunk offset as ordinal, so the span tree is
-  // identical at every thread count.
-  ParallelFor(0, sentences.size(), 0, [&](size_t lo, size_t hi) {
+  // identical at every thread count. Chunks hold at most kMaxEncodeChunk
+  // sentences, so on a large input the workers finish within a few
+  // sentences of each other.
+  const size_t grain =
+      std::min(kMaxEncodeChunk, (sentences.size() + 63) / 64);
+  ParallelFor(0, sentences.size(), grain, [&](size_t lo, size_t hi) {
     obs::Span chunk("embed/encode_chunk", parent, lo);
     chunk.AddCount("rows", hi - lo);
     for (size_t i = lo; i < hi; ++i) {

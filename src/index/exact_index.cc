@@ -18,8 +18,12 @@ namespace {
 /// Data rows per scoring block: 256 rows x 768 floats ≈ 768 KB streamed
 /// against a query tile that stays L1/L2-resident.
 constexpr size_t kDataBlock = 256;
-/// Queries per GemmBt tile in QueryBatch.
+/// Queries per GemmBt tile in QueryBatch; the float scan widens its tiles
+/// for large batches, up to kMaxQueryTile queries (one GemmBtStrided row
+/// tile), while keeping at least kTargetTiles tiles to share out.
 constexpr size_t kQueryBlock = 16;
+constexpr size_t kMaxQueryTile = 96;
+constexpr size_t kTargetTiles = 32;
 
 /// Fixed-capacity top-k tracker: max-heap on the CloserThan order, so the
 /// root is the current worst kept neighbor.
@@ -118,13 +122,16 @@ std::vector<Neighbor> ExactIndex::Query(const float* query, size_t k) const {
     return RescoreWithFloat(data_, query, std::move(top).Sorted(), kept);
   }
   TopK top(kept);
-  // Blocked scan: the same row order as the tiled batch path, so results
-  // match bit-for-bit.
+  // Blocked in-place scan: the same kernel and row order as the tiled batch
+  // path, so results match bit-for-bit.
+  const size_t cols = data_.cols();
+  std::vector<float> scores(kDataBlock);
   for (size_t start = 0; start < data_.rows(); start += kDataBlock) {
     const size_t end = std::min(start + kDataBlock, data_.rows());
+    la::GemmBtStrided(query, 1, cols, data_.Row(start), end - start, cols,
+                      cols, scores.data(), end - start);
     for (size_t r = start; r < end; ++r) {
-      top.Offer(static_cast<uint32_t>(r),
-                1.f - la::Dot(query, data_.Row(r), data_.cols()));
+      top.Offer(static_cast<uint32_t>(r), 1.f - scores[r - start]);
     }
   }
   return std::move(top).Sorted();
@@ -211,41 +218,38 @@ std::vector<std::vector<Neighbor>> BruteForceTopK(const la::Matrix& data,
   const size_t kept = std::min(k, data.rows());
 
   // Parallel over query tiles; each tile writes only its own result slots.
-  // Within a tile, scores come from GemmBt over (tile x data-block) panes —
-  // bit-identical to Dot() per pair — consumed in ascending data order.
-  ParallelFor(0, queries.rows(), kQueryBlock, [&](size_t qb, size_t qe) {
-    obs::Span chunk("index/exact_score_chunk", parent, qb);
-    chunk.AddCount("queries", qe - qb);
-    for (size_t q0 = qb; q0 < qe; q0 += kQueryBlock) {
-      const size_t q1 = std::min(q0 + kQueryBlock, qe);
-      la::Matrix tile(q1 - q0, queries.cols());
-      for (size_t q = q0; q < q1; ++q) {
-        const float* src = queries.Row(q);
-        std::copy(src, src + queries.cols(), tile.Row(q - q0));
-      }
-      std::vector<TopK> tops;
-      tops.reserve(q1 - q0);
-      for (size_t q = q0; q < q1; ++q) tops.emplace_back(kept);
+  // Within a tile, scores come from GemmBtStrided run in place over the
+  // query rows and each (possibly mmap'ed) data block — bit-identical to
+  // Dot() per pair — and are consumed in ascending data order. Large
+  // batches take wider tiles (a pure function of the batch size) so each
+  // data block is streamed once for up to kMaxQueryTile queries.
+  const size_t cols = data.cols();
+  const size_t tile = std::clamp<size_t>(
+      (queries.rows() + kTargetTiles - 1) / kTargetTiles, kQueryBlock,
+      kMaxQueryTile);
+  ParallelFor(0, queries.rows(), tile, [&](size_t q0, size_t q1) {
+    obs::Span chunk("index/exact_score_chunk", parent, q0);
+    chunk.AddCount("queries", q1 - q0);
+    std::vector<float> scores((q1 - q0) * kDataBlock);
+    std::vector<TopK> tops;
+    tops.reserve(q1 - q0);
+    for (size_t q = q0; q < q1; ++q) tops.emplace_back(kept);
 
-      for (size_t start = 0; start < data.rows(); start += kDataBlock) {
-        const size_t end = std::min(start + kDataBlock, data.rows());
-        la::Matrix block(end - start, data.cols());
-        for (size_t r = start; r < end; ++r) {
-          const float* src = data.Row(r);
-          std::copy(src, src + data.cols(), block.Row(r - start));
-        }
-        const la::Matrix scores = la::GemmBt(tile, block);
-        for (size_t q = q0; q < q1; ++q) {
-          const float* row = scores.Row(q - q0);
-          TopK& top = tops[q - q0];
-          for (size_t r = start; r < end; ++r) {
-            top.Offer(static_cast<uint32_t>(r), 1.f - row[r - start]);
-          }
-        }
-      }
+    for (size_t start = 0; start < data.rows(); start += kDataBlock) {
+      const size_t end = std::min(start + kDataBlock, data.rows());
+      const size_t block_rows = end - start;
+      la::GemmBtStrided(queries.Row(q0), q1 - q0, cols, data.Row(start),
+                        block_rows, cols, cols, scores.data(), block_rows);
       for (size_t q = q0; q < q1; ++q) {
-        results[q] = std::move(tops[q - q0]).Sorted();
+        const float* row = scores.data() + (q - q0) * block_rows;
+        TopK& top = tops[q - q0];
+        for (size_t r = start; r < end; ++r) {
+          top.Offer(static_cast<uint32_t>(r), 1.f - row[r - start]);
+        }
       }
+    }
+    for (size_t q = q0; q < q1; ++q) {
+      results[q] = std::move(tops[q - q0]).Sorted();
     }
   });
   return results;

@@ -126,7 +126,7 @@ int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
 void GemmBtI8Strided(const int8_t* a, size_t m, size_t lda, const int8_t* b,
                      size_t n, size_t ldb, size_t k, int32_t* c, size_t ldc) {
   // L2-sized row tiles around a register-blocked 2x4 micro-kernel (the
-  // int8 analogue of GemmBtStrided's 8x2): each 32-code step loads 2 a-rows
+  // int8 analogue of GemmBtStrided's 6x4): each 32-code step loads 2 a-rows
   // and 4 b-rows and updates 8 accumulators, amortizing loads and the
   // abs(a) across columns. Integer accumulation is exact, so blocking is
   // purely a throughput optimization — every entry equals

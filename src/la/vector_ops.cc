@@ -1,8 +1,13 @@
 #include "la/vector_ops.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+
+#if defined(__FMA__)
+#include <immintrin.h>
+#endif
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -43,52 +48,199 @@ inline float FastExp(float x) {
   return p * std::bit_cast<float>(bits);
 }
 
-/// Reduces kDotLanes partial sums in a fixed pairwise order. Keeping the
-/// reduction shape constant is what makes the blocked and scalar paths
-/// bit-identical.
-inline float ReduceLanes(const float* acc) {
-  float a01 = acc[0] + acc[1];
-  float a23 = acc[2] + acc[3];
-  float a45 = acc[4] + acc[5];
-  float a67 = acc[6] + acc[7];
-  return (a01 + a23) + (a45 + a67);
+// ---------------------------------------------------------------------------
+// The fused lane primitive. `Lanes` holds kDotLanes floats; MulAdd is the
+// only multiply-accumulate any kernel below performs. With FMA hardware it is
+// one _mm256_fmadd_ps (a single rounding, fixed in source); without it the
+// portable float[8] form computes an unfused a * b + c (an x86 target without
+// FMA has nothing to contract into, and EMBER_SIMD=OFF compiles with
+// -ffp-contract=off). The rounding of every accumulate step is chosen here,
+// not by the optimizer, so Dot, the GEMM micro-kernels and their edge
+// kernels agree bit for bit.
+// ---------------------------------------------------------------------------
+
+#if defined(__FMA__)
+
+struct Lanes {
+  __m256 v;
+};
+
+inline Lanes Zero() { return {_mm256_setzero_ps()}; }
+inline Lanes Broadcast(float x) { return {_mm256_set1_ps(x)}; }
+inline Lanes Load(const float* p) { return {_mm256_loadu_ps(p)}; }
+inline void Store(float* p, Lanes x) { _mm256_storeu_ps(p, x.v); }
+
+/// Mask selecting lanes [0, n) for n in [0, kDotLanes]: the 8-int window
+/// starting at kTailMask + 8 - n.
+alignas(64) inline constexpr int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1,
+                                                      -1, -1, 0,  0,  0,  0,
+                                                      0,  0,  0,  0};
+inline __m256i TailMask(size_t n) {
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailMask + kDotLanes - n));
 }
 
-inline void DotLanes(const float* a, const float* b, size_t n, float* acc) {
-  for (size_t l = 0; l < kDotLanes; ++l) acc[l] = 0.f;
-  size_t i = 0;
-  for (; i + kDotLanes <= n; i += kDotLanes) {
-    for (size_t l = 0; l < kDotLanes; ++l) acc[l] += a[i + l] * b[i + l];
-  }
-  for (; i < n; ++i) acc[i % kDotLanes] += a[i] * b[i];
+/// Lanes [0, n) from p, zeros above. Masked lanes are never read, so a row
+/// ending flush against an unmapped page is safe.
+inline Lanes LoadTail(const float* p, size_t n) {
+  return {_mm256_maskload_ps(p, TailMask(n))};
 }
+inline void StoreTail(float* p, size_t n, Lanes x) {
+  _mm256_maskstore_ps(p, TailMask(n), x.v);
+}
+
+inline Lanes MulAdd(Lanes a, Lanes b, Lanes c) {
+  return {_mm256_fmadd_ps(a.v, b.v, c.v)};
+}
+inline Lanes Sub(Lanes a, Lanes b) { return {_mm256_sub_ps(a.v, b.v)}; }
+
+/// Folds the lanes as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)).
+inline float Sum(Lanes x) {
+  const __m256 pairs = _mm256_hadd_ps(x.v, x.v);      // l01 l23 . . l45 l67
+  const __m256 quads = _mm256_hadd_ps(pairs, pairs);  // l0123 . . . l4567
+  return _mm_cvtss_f32(_mm_add_ss(_mm256_castps256_ps128(quads),
+                                  _mm256_extractf128_ps(quads, 1)));
+}
+
+/// out[s] = Sum(x[s]) for s < 4, in one shuffle tree with Sum's exact
+/// pairing (hadd pairs neighbouring lanes; the last add joins the halves).
+inline void Sum4(const Lanes* x, float* out) {
+  const __m256 pairs01 = _mm256_hadd_ps(x[0].v, x[1].v);
+  const __m256 pairs23 = _mm256_hadd_ps(x[2].v, x[3].v);
+  const __m256 quads = _mm256_hadd_ps(pairs01, pairs23);
+  _mm_storeu_ps(out, _mm_add_ps(_mm256_castps256_ps128(quads),
+                                _mm256_extractf128_ps(quads, 1)));
+}
+
+#else  // portable lanes
+
+struct Lanes {
+  float v[kDotLanes];
+};
+
+inline Lanes Zero() { return {}; }
+inline Lanes Broadcast(float x) {
+  Lanes r;
+  for (size_t l = 0; l < kDotLanes; ++l) r.v[l] = x;
+  return r;
+}
+inline Lanes Load(const float* p) {
+  Lanes r;
+  for (size_t l = 0; l < kDotLanes; ++l) r.v[l] = p[l];
+  return r;
+}
+inline void Store(float* p, Lanes x) {
+  for (size_t l = 0; l < kDotLanes; ++l) p[l] = x.v[l];
+}
+inline Lanes LoadTail(const float* p, size_t n) {
+  Lanes r{};
+  for (size_t l = 0; l < n; ++l) r.v[l] = p[l];
+  return r;
+}
+inline void StoreTail(float* p, size_t n, Lanes x) {
+  for (size_t l = 0; l < n; ++l) p[l] = x.v[l];
+}
+
+inline Lanes MulAdd(Lanes a, Lanes b, Lanes c) {
+  for (size_t l = 0; l < kDotLanes; ++l) c.v[l] = a.v[l] * b.v[l] + c.v[l];
+  return c;
+}
+inline Lanes Sub(Lanes a, Lanes b) {
+  for (size_t l = 0; l < kDotLanes; ++l) a.v[l] -= b.v[l];
+  return a;
+}
+
+inline float Sum(Lanes x) {
+  const float* v = x.v;
+  return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
+}
+inline void Sum4(const Lanes* x, float* out) {
+  for (size_t s = 0; s < 4; ++s) out[s] = Sum(x[s]);
+}
+
+#endif
+
+/// The one GEMM micro-kernel: c[r * ldc + s] = Dot(a_r, b_s) for an Mr x Nr
+/// block, with a_r = a + r * lda and b_s = b + s * ldb (k valid floats
+/// each). Every cell walks k in kDotLanes-wide MulAdd steps, then one
+/// zero-padded tail step, then folds with Sum, whatever the block shape, so
+/// Dot itself is the 1x1 instance and every shape yields identical bits.
+template <size_t Mr, size_t Nr>
+inline void MicroKernel(const float* a, size_t lda, const float* b,
+                        size_t ldb, size_t k, float* c, size_t ldc) {
+  Lanes acc[Mr][Nr];
+  for (size_t r = 0; r < Mr; ++r) {
+    for (size_t s = 0; s < Nr; ++s) acc[r][s] = Zero();
+  }
+  size_t p = 0;
+  for (; p + kDotLanes <= k; p += kDotLanes) {
+    Lanes bv[Nr];
+    for (size_t s = 0; s < Nr; ++s) bv[s] = Load(b + s * ldb + p);
+    for (size_t r = 0; r < Mr; ++r) {
+      const Lanes av = Load(a + r * lda + p);
+      for (size_t s = 0; s < Nr; ++s) acc[r][s] = MulAdd(av, bv[s], acc[r][s]);
+    }
+  }
+  if (p < k) {
+    const size_t tail = k - p;
+    Lanes bv[Nr];
+    for (size_t s = 0; s < Nr; ++s) bv[s] = LoadTail(b + s * ldb + p, tail);
+    for (size_t r = 0; r < Mr; ++r) {
+      const Lanes av = LoadTail(a + r * lda + p, tail);
+      for (size_t s = 0; s < Nr; ++s) acc[r][s] = MulAdd(av, bv[s], acc[r][s]);
+    }
+  }
+  for (size_t r = 0; r < Mr; ++r) {
+    size_t s = 0;
+    for (; s + 4 <= Nr; s += 4) Sum4(&acc[r][s], c + r * ldc + s);
+    for (; s < Nr; ++s) c[r * ldc + s] = Sum(acc[r][s]);
+  }
+}
+
+/// Main block shape. 6x4 keeps 24 accumulators plus 4 b vectors in the 32
+/// vector registers AVX-512VL exposes; with 16 registers 3x4 fits instead.
+#if defined(__AVX512VL__)
+constexpr size_t kMr = 6;
+#else
+constexpr size_t kMr = 3;
+#endif
+constexpr size_t kNr = 4;
+/// Row-edge width: leftover rows (and single-query scans) take 8 columns per
+/// pass, so every b row loaded feeds one accumulator chain.
+constexpr size_t kEdgeNr = 8;
 
 }  // namespace
 
 float Dot(const float* a, const float* b, size_t n) {
-  float acc[kDotLanes];
-  DotLanes(a, b, n, acc);
-  return ReduceLanes(acc);
+  float out;
+  MicroKernel<1, 1>(a, 0, b, 0, n, &out, 0);
+  return out;
 }
 
 float SquaredDistance(const float* a, const float* b, size_t n) {
-  float acc[kDotLanes] = {0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f, 0.f};
+  Lanes acc = Zero();
   size_t i = 0;
   for (; i + kDotLanes <= n; i += kDotLanes) {
-    for (size_t l = 0; l < kDotLanes; ++l) {
-      const float d = a[i + l] - b[i + l];
-      acc[l] += d * d;
-    }
+    const Lanes d = Sub(Load(a + i), Load(b + i));
+    acc = MulAdd(d, d, acc);
   }
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    acc[i % kDotLanes] += d * d;
+  if (i < n) {
+    const Lanes d = Sub(LoadTail(a + i, n - i), LoadTail(b + i, n - i));
+    acc = MulAdd(d, d, acc);
   }
-  return ReduceLanes(acc);
+  return Sum(acc);
 }
 
 void Axpy(float alpha, const float* x, float* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+  const Lanes va = Broadcast(alpha);
+  size_t i = 0;
+  for (; i + kDotLanes <= n; i += kDotLanes) {
+    Store(y + i, MulAdd(va, Load(x + i), Load(y + i)));
+  }
+  if (i < n) {
+    StoreTail(y + i, n - i,
+              MulAdd(va, LoadTail(x + i, n - i), LoadTail(y + i, n - i)));
+  }
 }
 
 void Scale(float alpha, float* x, size_t n) {
@@ -118,59 +270,37 @@ void GemmBtInto(const Matrix& a, const Matrix& b, Matrix* out) {
 
 void GemmBtStrided(const float* a, size_t m, size_t lda, const float* b,
                    size_t n, size_t ldb, size_t k, float* c, size_t ldc) {
-  // Register-blocked 8x2 micro-kernel inside L2-sized row tiles. Each output
-  // element keeps its own kDotLanes accumulators walked in Dot() order, so
-  // blocking changes memory traffic but not a single bit of the result. The
-  // tall-skinny tile amortizes each b-panel load across eight a rows while
-  // the 16 accumulator vectors still fit the register file.
-  constexpr size_t kTileA = 64;
+  // L2-sized tiles of kMr x kNr micro-kernel blocks; leftover columns of a
+  // row block take the kMr x 1 edge, leftover rows the 1 x kEdgeNr edge and
+  // finally 1 x 1. Tiling only reorders whole cells, and each cell is the
+  // same MicroKernel walk, so c[i * ldc + j] == Dot(a_i, b_j) bit-for-bit.
+  constexpr size_t kTileA = 16 * kMr;
   constexpr size_t kTileB = 64;
-  constexpr size_t kMr = 8;
-  constexpr size_t kNr = 2;
   for (size_t i0 = 0; i0 < m; i0 += kTileA) {
     const size_t i1 = std::min(m, i0 + kTileA);
     for (size_t j0 = 0; j0 < n; j0 += kTileB) {
       const size_t j1 = std::min(n, j0 + kTileB);
       size_t i = i0;
       for (; i + kMr <= i1; i += kMr) {
+        const float* ai = a + i * lda;
+        float* ci = c + i * ldc;
         size_t j = j0;
         for (; j + kNr <= j1; j += kNr) {
-          float acc[kMr][kNr][kDotLanes] = {};
-          size_t p = 0;
-          for (; p + kDotLanes <= k; p += kDotLanes) {
-            for (size_t r = 0; r < kMr; ++r) {
-              const float* ar = a + (i + r) * lda + p;
-              for (size_t s = 0; s < kNr; ++s) {
-                const float* bs = b + (j + s) * ldb + p;
-                for (size_t l = 0; l < kDotLanes; ++l) {
-                  acc[r][s][l] += ar[l] * bs[l];
-                }
-              }
-            }
-          }
-          for (; p < k; ++p) {
-            for (size_t r = 0; r < kMr; ++r) {
-              for (size_t s = 0; s < kNr; ++s) {
-                acc[r][s][p % kDotLanes] +=
-                    a[(i + r) * lda + p] * b[(j + s) * ldb + p];
-              }
-            }
-          }
-          for (size_t r = 0; r < kMr; ++r) {
-            for (size_t s = 0; s < kNr; ++s) {
-              c[(i + r) * ldc + j + s] = ReduceLanes(acc[r][s]);
-            }
-          }
+          MicroKernel<kMr, kNr>(ai, lda, b + j * ldb, ldb, k, ci + j, ldc);
         }
         for (; j < j1; ++j) {
-          for (size_t r = 0; r < kMr; ++r) {
-            c[(i + r) * ldc + j] = Dot(a + (i + r) * lda, b + j * ldb, k);
-          }
+          MicroKernel<kMr, 1>(ai, lda, b + j * ldb, ldb, k, ci + j, ldc);
         }
       }
       for (; i < i1; ++i) {
-        for (size_t j = j0; j < j1; ++j) {
-          c[i * ldc + j] = Dot(a + i * lda, b + j * ldb, k);
+        const float* ai = a + i * lda;
+        float* ci = c + i * ldc;
+        size_t j = j0;
+        for (; j + kEdgeNr <= j1; j += kEdgeNr) {
+          MicroKernel<1, kEdgeNr>(ai, lda, b + j * ldb, ldb, k, ci + j, ldc);
+        }
+        for (; j < j1; ++j) {
+          MicroKernel<1, 1>(ai, lda, b + j * ldb, ldb, k, ci + j, ldc);
         }
       }
     }
@@ -179,34 +309,39 @@ void GemmBtStrided(const float* a, size_t m, size_t lda, const float* b,
 
 void WeightedSumRows(const float* w, const float* rows, size_t m,
                      size_t stride, size_t n, float* out) {
-  // Column blocks sized to keep the accumulators register-resident; within a
-  // block every element is accumulated i = 0..m-1 in order, matching the
-  // sequential Axpy chain bit-for-bit.
-  constexpr size_t kBlock = 16;
+  // Column blocks of kBlock lane vectors kept in registers across the whole
+  // i sweep; every element is the MulAdd chain i = 0..m-1, exactly the
+  // zero-then-Axpy-per-row loop.
+  constexpr size_t kBlock = 4;
   size_t j = 0;
-  for (; j + kBlock <= n; j += kBlock) {
-    float acc[kBlock] = {};
+  for (; j + kBlock * kDotLanes <= n; j += kBlock * kDotLanes) {
+    Lanes acc[kBlock];
+    for (size_t v = 0; v < kBlock; ++v) acc[v] = Zero();
     for (size_t i = 0; i < m; ++i) {
-      const float wi = w[i];
+      const Lanes wi = Broadcast(w[i]);
       const float* row = rows + i * stride + j;
-      for (size_t c = 0; c < kBlock; ++c) acc[c] += wi * row[c];
+      for (size_t v = 0; v < kBlock; ++v) {
+        acc[v] = MulAdd(wi, Load(row + v * kDotLanes), acc[v]);
+      }
     }
-    for (size_t c = 0; c < kBlock; ++c) out[j + c] = acc[c];
+    for (size_t v = 0; v < kBlock; ++v) Store(out + j + v * kDotLanes, acc[v]);
   }
-  if (j < n) {
-    float acc[kBlock] = {};
-    const size_t rem = n - j;
+  for (; j < n; j += kDotLanes) {
+    const size_t width = std::min(kDotLanes, n - j);
+    Lanes acc = Zero();
     for (size_t i = 0; i < m; ++i) {
-      const float wi = w[i];
-      const float* row = rows + i * stride + j;
-      for (size_t c = 0; c < rem; ++c) acc[c] += wi * row[c];
+      acc = MulAdd(Broadcast(w[i]), LoadTail(rows + i * stride + j, width),
+                   acc);
     }
-    for (size_t c = 0; c < rem; ++c) out[j + c] = acc[c];
+    StoreTail(out + j, width, acc);
   }
 }
 
 void Gemv(const Matrix& m, const float* x, float* out) {
-  for (size_t r = 0; r < m.rows(); ++r) out[r] = Dot(m.Row(r), x, m.cols());
+  // One query row against every matrix row: the 1 x kEdgeNr edge kernel,
+  // and out[r] == Dot(x, m.Row(r)) == Dot(m.Row(r), x) bit-for-bit.
+  GemmBtStrided(x, 1, m.cols(), m.data(), m.rows(), m.cols(), m.cols(), out,
+                m.rows());
 }
 
 void SoftmaxInPlace(float* x, size_t n) {
@@ -214,7 +349,7 @@ void SoftmaxInPlace(float* x, size_t n) {
   float max = x[0];
   for (size_t i = 1; i < n; ++i) max = std::max(max, x[i]);
   // Exponentiation pass kept free of the sum dependency so it vectorizes;
-  // the sum then uses the fixed kDotLanes reduction shape shared by Dot.
+  // the sum then uses the fixed kDotLanes fold shared by Dot.
   for (size_t i = 0; i < n; ++i) x[i] = FastExp(x[i] - max);
   float acc[kDotLanes] = {};
   size_t i = 0;
@@ -222,7 +357,7 @@ void SoftmaxInPlace(float* x, size_t n) {
     for (size_t l = 0; l < kDotLanes; ++l) acc[l] += x[i + l];
   }
   for (; i < n; ++i) acc[i % kDotLanes] += x[i];
-  const float sum = ReduceLanes(acc);
+  const float sum = Sum(Load(acc));
   if (sum > 0.f) Scale(1.f / sum, x, n);
 }
 

@@ -7,20 +7,21 @@
 
 namespace ember::la {
 
-/// Number of independent accumulator lanes in the unrolled kernels. The
-/// lane-partitioned accumulation order is fixed in source, so results are
-/// bit-identical whether or not the compiler vectorizes the lane loop, and
-/// identical between the scalar one-pair path and the blocked GEMM path.
+/// Number of independent accumulator lanes in the kernels. Element i of a
+/// reduction always lands in lane i % kDotLanes, every accumulate step is
+/// one multiply-add whose rounding (fused with FMA hardware, unfused
+/// without) is fixed in source, and the lanes fold in a fixed pairwise
+/// order, so the one-pair path and the blocked GEMM path are bit-identical.
 inline constexpr size_t kDotLanes = 8;
 
-/// Dot product with 8 independent partial sums (auto-vectorizes under -O3)
-/// and a fixed pairwise lane reduction.
+/// Dot product with 8 independent partial sums and a fixed pairwise lane
+/// reduction: the 1x1 instance of the GEMM micro-kernel.
 float Dot(const float* a, const float* b, size_t n);
 
 /// Squared Euclidean distance, same lane structure as Dot.
 float SquaredDistance(const float* a, const float* b, size_t n);
 
-/// y += alpha * x.
+/// y += alpha * x, one multiply-add per element (the lane primitive).
 void Axpy(float alpha, const float* x, float* y, size_t n);
 
 /// x *= alpha.
@@ -33,10 +34,11 @@ float Norm(const float* x, size_t n);
 /// for the norm, then one scale pass.
 void NormalizeInPlace(float* x, size_t n);
 
-/// C = A * B^T, where A is (m x k) and B is (n x k); C is (m x n). Uses a
-/// register-blocked micro-kernel tiled for L2 residency; every C entry is
-/// accumulated in exactly the Dot() lane order, so GemmBt(a, b).At(i, j) ==
-/// Dot(a.Row(i), b.Row(j), k) bit-for-bit.
+/// C = A * B^T, where A is (m x k) and B is (n x k); C is (m x n). Uses
+/// register-blocked micro-kernels (with row and column edge kernels) tiled
+/// for L2 residency; every C entry is accumulated in exactly the Dot() lane
+/// order, so GemmBt(a, b).At(i, j) == Dot(a.Row(i), b.Row(j), k)
+/// bit-for-bit. Never reads past the last row's k-th float.
 Matrix GemmBt(const Matrix& a, const Matrix& b);
 
 /// Allocation-free GemmBt: writes A * B^T into the preallocated
@@ -45,11 +47,13 @@ void GemmBtInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// Strided-view GemmBt over raw panels: row i of A starts at a + i * lda
 /// (k valid floats), row j of B at b + j * ldb, and C(i, j) lands at
-/// c[i * ldc + j]. Runs the same register-blocked micro-kernel with the
+/// c[i * ldc + j]. Runs the same register-blocked micro-kernels with the
 /// same kDotLanes accumulation order as GemmBt, so
-/// c[i * ldc + j] == Dot(a + i * lda, b + j * ldb, k) bit-for-bit. This is
-/// what lets per-head attention panels (head-strided slices of packed Q/K
-/// matrices) go through the blocked kernel without materializing copies.
+/// c[i * ldc + j] == Dot(a + i * lda, b + j * ldb, k) bit-for-bit; only the
+/// n cells of each c row are written, never the ldc padding. This is what
+/// lets per-head attention panels (head-strided slices of packed Q/K
+/// matrices) and the exact index's corpus blocks go through the blocked
+/// kernel without materializing copies.
 void GemmBtStrided(const float* a, size_t m, size_t lda, const float* b,
                    size_t n, size_t ldb, size_t k, float* c, size_t ldc);
 
@@ -62,7 +66,8 @@ void GemmBtStrided(const float* a, size_t m, size_t lda, const float* b,
 void WeightedSumRows(const float* w, const float* rows, size_t m,
                      size_t stride, size_t n, float* out);
 
-/// out[i] = Dot(m.Row(i), x) for every row of m.
+/// out[i] = Dot(m.Row(i), x) for every row of m: GemmBtStrided with x as
+/// the single a row.
 void Gemv(const Matrix& m, const float* x, float* out);
 
 /// In-place softmax over x[0..n).

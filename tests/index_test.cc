@@ -148,6 +148,31 @@ TEST(ExactIndexPropertyTest, BruteForceAndExactIndexAgreeOn200Corpora) {
   });
 }
 
+// Batches of hundreds or thousands of queries scan in wider query tiles than
+// small ones; every answer must still equal the single-query path bit for
+// bit (ids AND distances). The corpus spans two full data blocks and a
+// partial one, and 37 columns leave a lane tail.
+TEST(ExactIndexTest, LargeBatchesMatchSingleQueries) {
+  const size_t cols = 37;
+  const la::Matrix data = RandomUnitRows(600, cols, 11);
+  ExactIndex idx;
+  idx.Build(data);
+  for (const size_t batch : {size_t{700}, size_t{3001}}) {
+    const la::Matrix queries = RandomUnitRows(batch, cols, 12 + batch);
+    const auto results = idx.QueryBatch(queries, 5);
+    ASSERT_EQ(results.size(), batch);
+    for (size_t q = 0; q < batch; ++q) {
+      const auto single = idx.Query(queries.Row(q), 5);
+      ASSERT_EQ(results[q].size(), single.size()) << "batch " << batch;
+      for (size_t i = 0; i < single.size(); ++i) {
+        ASSERT_EQ(results[q][i].id, single[i].id) << "batch " << batch;
+        ASSERT_EQ(results[q][i].distance, single[i].distance)
+            << "batch " << batch;
+      }
+    }
+  }
+}
+
 // The int8 scan tier is an approximation with a float rescore on top, so
 // the contract is statistical: across many random corpora, rescored
 // quantized top-10 must recover at least 99% of the definitional top-10

@@ -1,12 +1,15 @@
 #include "la/vector_ops.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "la/matrix.h"
 #include "la/quantize.h"
@@ -47,6 +50,138 @@ TEST(VectorOpsTest, GemmBtBitIdenticalToDot) {
       }
     }
   }
+}
+
+/// `count` elements of T placed flush against a PROT_NONE page: the first
+/// byte past the buffer is unmapped, so any kernel reading or writing beyond
+/// its operand faults instead of silently touching a neighbour.
+template <typename T>
+class GuardedBuffer {
+ public:
+  explicit GuardedBuffer(size_t count) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t bytes = count * sizeof(T);
+    const size_t data_pages = (bytes + page - 1) / page;
+    mapped_ = (data_pages + 1) * page;
+    void* base = mmap(nullptr, mapped_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EMBER_CHECK(base != MAP_FAILED);
+    base_ = static_cast<char*>(base);
+    EMBER_CHECK(mprotect(base_ + data_pages * page, page, PROT_NONE) == 0);
+    data_ = reinterpret_cast<T*>(base_ + data_pages * page - bytes);
+  }
+  ~GuardedBuffer() { munmap(base_, mapped_); }
+  GuardedBuffer(const GuardedBuffer&) = delete;
+  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+
+  T* data() { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t mapped_ = 0;
+  T* data_ = nullptr;
+};
+
+void FillGaussian(float* x, size_t n, Rng& rng) {
+  for (size_t i = 0; i < n; ++i) x[i] = static_cast<float>(rng.Gaussian());
+}
+
+void FillCodes(int8_t* x, size_t n, Rng& rng) {
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = static_cast<int8_t>(static_cast<int>(rng.Next() % 255) - 127);
+  }
+}
+
+TEST(VectorOpsTest, KernelsNeverTouchMemoryPastTheirOperands) {
+  // Every operand ends flush against an unmapped page. A read or write one
+  // element too far is a SIGSEGV, which deliberately fails the test run.
+  const size_t kDims[] = {1, 7, 8, 20, 64, 80, 160, 300, 768};
+  Rng rng(0x6a4d);
+  for (const size_t k : kDims) {
+    for (size_t m = 1; m <= 17; ++m) {
+      for (size_t n = 1; n <= 17; ++n) {
+        std::vector<float> a(m * k), b(n * k);
+        FillGaussian(a.data(), a.size(), rng);
+        FillGaussian(b.data(), b.size(), rng);
+        GuardedBuffer<float> ga(m * k), gb(n * k), gc(m * n);
+        std::copy(a.begin(), a.end(), ga.data());
+        std::copy(b.begin(), b.end(), gb.data());
+        std::vector<float> c(m * n);
+        // a guarded, then b guarded, then c guarded.
+        GemmBtStrided(ga.data(), m, k, b.data(), n, k, k, c.data(), n);
+        GemmBtStrided(a.data(), m, k, gb.data(), n, k, k, c.data(), n);
+        GemmBtStrided(a.data(), m, k, b.data(), n, k, k, gc.data(), n);
+        const Matrix va = Matrix::View(ga.data(), m, k);
+        const Matrix vb = Matrix::View(gb.data(), n, k);
+        const Matrix c2 = GemmBt(va, vb);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            const float expected = Dot(a.data() + i * k, b.data() + j * k, k);
+            ASSERT_EQ(c[i * n + j], expected) << m << "x" << n << "x" << k;
+            ASSERT_EQ(gc.data()[i * n + j], expected);
+            ASSERT_EQ(c2.At(i, j), expected);
+          }
+        }
+
+        // WeightedSumRows: m weights over m rows of n columns.
+        GuardedBuffer<float> gw(m), grows(m * n), gout(n);
+        FillGaussian(gw.data(), m, rng);
+        FillGaussian(grows.data(), m * n, rng);
+        WeightedSumRows(gw.data(), grows.data(), m, n, n, gout.data());
+
+        std::vector<int8_t> qa(m * k), qb(n * k);
+        FillCodes(qa.data(), qa.size(), rng);
+        FillCodes(qb.data(), qb.size(), rng);
+        GuardedBuffer<int8_t> gqa(m * k), gqb(n * k);
+        std::copy(qa.begin(), qa.end(), gqa.data());
+        std::copy(qb.begin(), qb.end(), gqb.data());
+        std::vector<int32_t> ci(m * n);
+        GemmBtI8Strided(gqa.data(), m, k, qb.data(), n, k, k, ci.data(), n);
+        GemmBtI8Strided(qa.data(), m, k, gqb.data(), n, k, k, ci.data(), n);
+      }
+    }
+    GuardedBuffer<float> x(k), y(k);
+    FillGaussian(x.data(), k, rng);
+    FillGaussian(y.data(), k, rng);
+    EXPECT_EQ(Dot(x.data(), y.data(), k), Dot(y.data(), x.data(), k));
+    EXPECT_GE(SquaredDistance(x.data(), y.data(), k), 0.f);
+    Axpy(0.5f, x.data(), y.data(), k);
+  }
+}
+
+TEST(VectorOpsTest, GemmBtStridedShapesMatchDotProperty) {
+  // Random shapes reach every kernel: full blocks, the column edge, the row
+  // edge, the 1x1 corner, and k tails. Each cell must equal Dot bit for bit
+  // and the ldc padding between output rows must be left untouched.
+  proptest::Config config;
+  config.cases = 60;
+  config.max_size = 800;
+  proptest::ForAll(
+      "GemmBtStrided == Dot on padded panels", config,
+      [](Rng& rng, size_t k) {
+        const size_t m = 1 + rng.Next() % 40;
+        const size_t n = 1 + rng.Next() % 70;
+        const size_t lda = k + 1 + rng.Next() % 9;
+        const size_t ldb = k + 1 + rng.Next() % 9;
+        const size_t ldc = n + 1 + rng.Next() % 5;
+        std::vector<float> a(m * lda), b(n * ldb);
+        FillGaussian(a.data(), a.size(), rng);
+        FillGaussian(b.data(), b.size(), rng);
+        constexpr float kSentinel = -12345.f;
+        std::vector<float> c(m * ldc, kSentinel);
+        GemmBtStrided(a.data(), m, lda, b.data(), n, ldb, k, c.data(), ldc);
+        for (size_t i = 0; i < m; ++i) {
+          for (size_t j = 0; j < ldc; ++j) {
+            const float got = c[i * ldc + j];
+            if (j >= n) {
+              if (got != kSentinel) return false;
+            } else if (got != Dot(a.data() + i * lda, b.data() + j * ldb, k)) {
+              return false;
+            }
+          }
+        }
+        return true;
+      });
 }
 
 TEST(VectorOpsTest, GemmBtIntoMatchesGemmBtInPreallocatedOutput) {
