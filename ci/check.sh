@@ -211,6 +211,18 @@ EMBER_FAILPOINTS="load/trace_read=error:io" \
 ./build-release/tools/ember_cli serve-bench D2 --scale 0.05 \
   --trace-file /tmp/ember_a.trace > /tmp/ember_tracebench.out
 grep -q 'trace replay' /tmp/ember_tracebench.out
+# The router path takes the same admission flags as the single engine: an
+# over-quota two-tenant mix must be throttled and print the tenant table.
+./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --qps 60 \
+  --duration 1 --shards 2 --tenants 2 --quota 5 --quota-burst 1 \
+  > /tmp/ember_router_admission.out
+grep -q 'throttled=[1-9]' /tmp/ember_router_admission.out
+grep -q 'per-tenant admission' /tmp/ember_router_admission.out
+# Trace replay drives a single engine only: --trace-file with --shards must
+# be refused, not silently ignored.
+./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --shards 2 \
+  --trace-file /tmp/ember_a.trace >/dev/null 2>&1 \
+  && { echo "sharded serve-bench accepted --trace-file" >&2; exit 1; }
 
 echo "==> recovery drill smoke (Release): kill/rejoin through the CLI"
 # A replica killed at t/3 and rejoined at 2t/3 under query + upsert load

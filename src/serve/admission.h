@@ -31,9 +31,13 @@ enum class QueuePolicy : uint32_t { kEdf = 0, kFifo = 1 };
 
 const char* QueuePolicyName(QueuePolicy policy);
 
-/// Per-submit options. The 2-arg Submit overloads remain for untenanted
-/// callers; this struct is the tenant-aware path.
+/// Per-submit options, taken by every Submit/Upsert/Delete. A bare deadline
+/// converts implicitly, so `Submit(record, deadline)` is the untenanted form.
 struct SubmitOptions {
+  SubmitOptions() = default;
+  SubmitOptions(SteadyTime deadline)  // NOLINT(runtime/explicit)
+      : deadline(deadline) {}
+
   SteadyTime deadline = kNoDeadline;
   /// Admission/accounting identity. Empty = the untenanted default tenant
   /// (exported under tenant="default", never quota-limited unless a quota

@@ -14,6 +14,10 @@ namespace ember::serve {
 
 namespace {
 
+constexpr BatcherNames kEngineNames = {
+    "engine",      "ember_serve",        "serve/admit",
+    "serve/batch", "serve/dequeue_shed", "serve/request"};
+
 /// Samples an EngineMetrics into registry exposition form. Counter names
 /// follow Prometheus conventions (_total suffix on monotone counters); the
 /// stage histograms keep their EngineMetrics field names.
@@ -45,23 +49,7 @@ std::vector<obs::Sample> MetricsToSamples(const EngineMetrics& metrics,
     sample.histogram = snapshot;
     samples.push_back(std::move(sample));
   };
-  counter("ember_serve_submitted_total", "Requests accepted into the queue",
-          metrics.submitted);
-  counter("ember_serve_completed_total", "Requests answered with neighbors",
-          metrics.completed);
-  counter("ember_serve_rejected_total", "Requests refused at Submit",
-          metrics.rejected);
-  counter("ember_serve_throttled_total",
-          "Requests refused by the per-tenant token bucket",
-          metrics.throttled);
-  counter("ember_serve_expired_total", "Requests shed before embedding",
-          metrics.expired);
-  counter("ember_serve_failed_total", "Requests failed with an error",
-          metrics.failed);
-  counter("ember_serve_deadline_misses_total",
-          "Requests completed after their deadline", metrics.deadline_misses);
-  counter("ember_serve_batches_total", "Micro-batches processed",
-          metrics.batches);
+  AppendBatcherSamples(metrics, kEngineNames.metric_prefix, labels, samples);
   counter("ember_serve_retries_total", "Embed/reload retry attempts",
           metrics.retries);
   counter("ember_serve_fallbacks_total",
@@ -105,8 +93,6 @@ std::vector<obs::Sample> MetricsToSamples(const EngineMetrics& metrics,
   gauge("ember_serve_snapshot_bytes_mapped",
         "Bytes mmap'ed by the serving snapshot (0 = heap-loaded)",
         static_cast<double>(snapshot.bytes_mapped()));
-  histogram("ember_serve_queue_micros", "Submit to dequeue wait per request",
-            metrics.queue_micros);
   histogram("ember_serve_embed_micros", "Vectorization time per batch",
             metrics.embed_micros);
   histogram("ember_serve_query_micros", "Index search time per batch",
@@ -117,54 +103,6 @@ std::vector<obs::Sample> MetricsToSamples(const EngineMetrics& metrics,
   histogram("ember_serve_postprocess_micros",
             "Reply assembly / future completion time per batch",
             metrics.postprocess_micros);
-  histogram("ember_serve_total_micros", "Submit to completion per request",
-            metrics.total_micros);
-  histogram("ember_serve_batch_size", "Live requests per processed batch",
-            metrics.batch_size);
-  // Per-tenant breakdown (DESIGN.md §16). Distinct metric families (the
-  // tenant_ prefix) keep the engine-wide series above label-stable; tenant
-  // rows only exist for tenant-aware traffic, so untenanted engines export
-  // exactly the pre-PR10 sample set.
-  for (const TenantCounters& tenant : metrics.tenants) {
-    obs::Labels tenant_labels = labels;
-    tenant_labels["tenant"] = tenant.tenant;
-    auto tenant_counter = [&](const char* name, const char* help,
-                              uint64_t value) {
-      obs::Sample sample;
-      sample.name = name;
-      sample.help = help;
-      sample.kind = obs::MetricKind::kCounter;
-      sample.labels = tenant_labels;
-      sample.value = static_cast<double>(value);
-      samples.push_back(std::move(sample));
-    };
-    tenant_counter("ember_serve_tenant_submitted_total",
-                   "Per-tenant requests accepted into the queue",
-                   tenant.submitted);
-    tenant_counter("ember_serve_tenant_completed_total",
-                   "Per-tenant requests completed", tenant.completed);
-    tenant_counter("ember_serve_tenant_throttled_total",
-                   "Per-tenant requests refused by the token bucket",
-                   tenant.throttled);
-    tenant_counter("ember_serve_tenant_rejected_total",
-                   "Per-tenant requests refused by backpressure",
-                   tenant.rejected);
-    tenant_counter("ember_serve_tenant_expired_total",
-                   "Per-tenant requests shed past their deadline",
-                   tenant.expired);
-    tenant_counter("ember_serve_tenant_failed_total",
-                   "Per-tenant requests failed with an error", tenant.failed);
-    tenant_counter("ember_serve_tenant_deadline_misses_total",
-                   "Per-tenant requests completed after their deadline",
-                   tenant.deadline_misses);
-    obs::Sample latency;
-    latency.name = "ember_serve_tenant_total_micros";
-    latency.help = "Per-tenant submit to completion latency";
-    latency.kind = obs::MetricKind::kHistogram;
-    latency.labels = tenant_labels;
-    latency.histogram = tenant.total_micros;
-    samples.push_back(std::move(latency));
-  }
   return samples;
 }
 
@@ -218,14 +156,10 @@ Engine::Engine(Snapshot snapshot, std::shared_ptr<embed::EmbeddingModel> model,
       model_(std::move(model)),
       options_(options),
       breaker_(options.breaker),
-      admission_(options.quotas) {
+      batcher_(BatcherOptions::From(options), kEngineNames) {
   if (options_.live) {
     live_ = std::make_shared<stream::LiveCorpus>(snapshot_);
   }
-  options_.max_queue = std::max<size_t>(1, options_.max_queue);
-  options_.max_batch = std::max<size_t>(1, options_.max_batch);
-  options_.workers = std::max<size_t>(1, options_.workers);
-  options_.max_wait_micros = std::max<int64_t>(0, options_.max_wait_micros);
   k_ = options_.k > 0 ? options_.k
                       : std::max<size_t>(1, snapshot_->manifest().default_k);
   static std::atomic<uint64_t> next_instance{0};
@@ -235,10 +169,9 @@ Engine::Engine(Snapshot snapshot, std::shared_ptr<embed::EmbeddingModel> model,
         return MetricsToSamples(Metrics(), instance_, *this->snapshot());
       });
   collector_registered_.store(true, std::memory_order_release);
-  workers_.reserve(options_.workers);
-  for (size_t w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  batcher_.Start([this](std::vector<Request>& live, const BatchInfo& batch) {
+    ProcessBatch(live, batch);
+  });
 }
 
 Engine::~Engine() { Stop(); }
@@ -250,40 +183,17 @@ void Engine::Stop() {
   if (collector_registered_.exchange(false, std::memory_order_acq_rel)) {
     obs::Registry::Global().RemoveCollector(collector_id_);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-}
-
-Result<std::future<Result<QueryReply>>> Engine::Submit(std::string record,
-                                                       SteadyTime deadline) {
-  SubmitOptions opts;
-  opts.deadline = deadline;
-  return Submit(std::move(record), opts);
+  batcher_.Stop();
 }
 
 Result<std::future<Result<QueryReply>>> Engine::Submit(
     std::string record, const SubmitOptions& opts) {
   Request request;
   request.record = std::move(record);
-  request.deadline = opts.deadline;
-  request.tenant = opts.tenant;
   std::future<Result<QueryReply>> future = request.promise.get_future();
-  Status admitted = Enqueue(std::move(request), opts.admit_time);
+  Status admitted = Enqueue(std::move(request), opts);
   if (!admitted.ok()) return admitted;
   return future;
-}
-
-Result<std::future<Result<QueryReply>>> Engine::SubmitEmbedded(
-    std::vector<float> embedding, SteadyTime deadline) {
-  SubmitOptions opts;
-  opts.deadline = deadline;
-  return SubmitEmbedded(std::move(embedding), opts);
 }
 
 Result<std::future<Result<QueryReply>>> Engine::SubmitEmbedded(
@@ -297,19 +207,10 @@ Result<std::future<Result<QueryReply>>> Engine::SubmitEmbedded(
   Request request;
   request.embedding = std::move(embedding);
   request.pre_embedded = true;
-  request.deadline = opts.deadline;
-  request.tenant = opts.tenant;
   std::future<Result<QueryReply>> future = request.promise.get_future();
-  Status admitted = Enqueue(std::move(request), opts.admit_time);
+  Status admitted = Enqueue(std::move(request), opts);
   if (!admitted.ok()) return admitted;
   return future;
-}
-
-Result<std::future<Result<MutateReply>>> Engine::Upsert(std::string record,
-                                                        SteadyTime deadline) {
-  SubmitOptions opts;
-  opts.deadline = deadline;
-  return Upsert(std::move(record), opts);
 }
 
 Result<std::future<Result<MutateReply>>> Engine::Upsert(
@@ -317,16 +218,7 @@ Result<std::future<Result<MutateReply>>> Engine::Upsert(
   Request request;
   request.kind = Request::Kind::kUpsert;
   request.record = std::move(record);
-  request.deadline = opts.deadline;
-  request.tenant = opts.tenant;
-  return EnqueueMutation(std::move(request), opts.admit_time);
-}
-
-Result<std::future<Result<MutateReply>>> Engine::UpsertEmbedded(
-    std::vector<float> embedding, SteadyTime deadline) {
-  SubmitOptions opts;
-  opts.deadline = deadline;
-  return UpsertEmbedded(std::move(embedding), opts);
+  return EnqueueMutation(std::move(request), opts);
 }
 
 Result<std::future<Result<MutateReply>>> Engine::UpsertEmbedded(
@@ -341,16 +233,7 @@ Result<std::future<Result<MutateReply>>> Engine::UpsertEmbedded(
   request.kind = Request::Kind::kUpsert;
   request.embedding = std::move(embedding);
   request.pre_embedded = true;
-  request.deadline = opts.deadline;
-  request.tenant = opts.tenant;
-  return EnqueueMutation(std::move(request), opts.admit_time);
-}
-
-Result<std::future<Result<MutateReply>>> Engine::Delete(uint64_t global_id,
-                                                        SteadyTime deadline) {
-  SubmitOptions opts;
-  opts.deadline = deadline;
-  return Delete(global_id, opts);
+  return EnqueueMutation(std::move(request), opts);
 }
 
 Result<std::future<Result<MutateReply>>> Engine::Delete(
@@ -361,13 +244,11 @@ Result<std::future<Result<MutateReply>>> Engine::Delete(
   // Deletes carry no record to embed; mark pre-embedded so the embed stage
   // skips them.
   request.pre_embedded = true;
-  request.deadline = opts.deadline;
-  request.tenant = opts.tenant;
-  return EnqueueMutation(std::move(request), opts.admit_time);
+  return EnqueueMutation(std::move(request), opts);
 }
 
 Result<std::future<Result<MutateReply>>> Engine::EnqueueMutation(
-    Request request, SteadyTime admit_time) {
+    Request request, const SubmitOptions& opts) {
   if (live_ == nullptr) {
     return Status::InvalidArgument(
         "engine serves a frozen snapshot (EngineOptions.live = false); "
@@ -375,152 +256,29 @@ Result<std::future<Result<MutateReply>>> Engine::EnqueueMutation(
   }
   std::future<Result<MutateReply>> future =
       request.mutate_promise.get_future();
-  Status admitted = Enqueue(std::move(request), admit_time);
+  Status admitted = Enqueue(std::move(request), opts);
   if (!admitted.ok()) return admitted;
   return future;
 }
 
-Status Engine::Enqueue(Request request, SteadyTime admit_time) {
-  // Token-bucket admission FIRST (DESIGN.md §16), before the breaker and
-  // the queue bound: an over-quota tenant's verdict depends only on the
-  // quota and the admit timestamps — never on engine health or queue depth
-  // — so a replayed trace reproduces the same throttle decisions exactly.
-  // The caller-supplied admit_time (kAdmitNow = the real clock) is what
-  // makes virtual-time replay clock-independent.
-  const std::string tenant = request.tenant;
-  const bool tracked = admission_.enabled() || !tenant.empty();
-  if (admission_.enabled()) {
-    obs::Span admit_span("serve/admit");
-    const SteadyTime now = admit_time == kAdmitNow ? SteadyNow() : admit_time;
-    Status admitted = admission_.Admit(tenant, now);
-    if (!admitted.ok()) {
-      throttled_.fetch_add(1, std::memory_order_relaxed);
-      ledger_.Record(tenant, TenantLedger::Event::kThrottled);
-      return admitted;
-    }
-  }
-  // Breaker fast-fail outside the queue lock: while the embed/query stages
-  // are known-broken, shedding here keeps the queue from filling with work
-  // that would only be failed milliseconds later.
+Status Engine::Enqueue(Request request, const SubmitOptions& opts) {
+  request.deadline = opts.deadline;
+  request.tenant = opts.tenant;
+  // Token bucket FIRST, so a throttle verdict never depends on engine
+  // health or queue depth (DESIGN.md §9).
+  Status admitted = batcher_.Admit(request.tenant, opts.admit_time);
+  if (!admitted.ok()) return admitted;
+  // Breaker fast-fail: while the embed/query stages are known-broken,
+  // shedding here keeps the queue from filling with work that would only be
+  // failed milliseconds later.
   if (!breaker_.Allow(SteadyNow())) {
     short_circuits_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("circuit breaker open");
   }
-  request.enqueued = SteadyNow();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (tracked) ledger_.Record(tenant, TenantLedger::Event::kRejected);
-      return Status::Unavailable("engine is stopped");
-    }
-    if (queue_.size() >= options_.max_queue) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (tracked) ledger_.Record(tenant, TenantLedger::Event::kRejected);
-      return Status::Unavailable("queue full (" +
-                                 std::to_string(options_.max_queue) + ")");
-    }
-    request.seq = queue_seq_++;
-    queue_.push_back(std::move(request));
-    std::push_heap(queue_.begin(), queue_.end(),
-                   RequestUrgency{options_.queue_policy});
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (tracked) ledger_.Record(tenant, TenantLedger::Event::kSubmitted);
-  }
-  queue_cv_.notify_one();
-  return Status::Ok();
+  return batcher_.Push(std::move(request));
 }
 
-void Engine::FailRequest(Request& request, const Status& status) {
-  if (request.kind == Request::Kind::kQuery) {
-    request.promise.set_value(status);
-  } else {
-    request.mutate_promise.set_value(status);
-  }
-}
-
-void Engine::WorkerLoop() {
-  for (;;) {
-    std::vector<Request> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;  // drained: stop only once the queue is empty
-        continue;
-      }
-      // Micro-batch window: drain as soon as max_batch requests are ready,
-      // or once the MOST URGENT queued request (heap front: earliest
-      // deadline under kEdf, oldest arrival under kFifo or with no
-      // deadlines) has waited out max_wait_micros. wait_until releases the
-      // lock, so another worker may drain the queue meanwhile — hence the
-      // re-check below instead of assuming front().
-      const SteadyTime window_end =
-          AfterMicros(queue_.front().enqueued, options_.max_wait_micros);
-      queue_cv_.wait_until(lock, window_end, [this] {
-        return stopping_ || queue_.size() >= options_.max_batch;
-      });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Heap pops drain in urgency order, so the batch itself is ordered
-      // most-urgent-first (and therefore in arrival order when deadlines
-      // are absent or equal — mutations still apply in submission order).
-      const RequestUrgency urgency{options_.queue_policy};
-      const size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        std::pop_heap(queue_.begin(), queue_.end(), urgency);
-        batch.push_back(std::move(queue_.back()));
-        queue_.pop_back();
-      }
-    }
-    ProcessBatch(std::move(batch));
-  }
-}
-
-void Engine::ProcessBatch(std::vector<Request> batch) {
-  const SteadyTime drained = SteadyNow();
-  const uint64_t batch_no = batches_.fetch_add(1, std::memory_order_relaxed);
-
-  // Per-tenant accounting mirrors the engine-wide counters for tenant-aware
-  // traffic; untenanted engines (no quotas, no tenant names) skip the
-  // ledger entirely.
-  auto tenant_event = [this](const Request& request,
-                             TenantLedger::Event event) {
-    if (admission_.enabled() || !request.tenant.empty()) {
-      ledger_.Record(request.tenant, event);
-    }
-  };
-
-  // Trace root per batch, keyed by the batch number: span ids depend on
-  // (batch_no, stage name, stage order) only, so a fixed-seed run yields
-  // the same span tree at any worker/thread count.
-  obs::Span batch_span("serve/batch", obs::Span::RootTag{}, batch_no);
-  batch_span.AddCount("requests", batch.size());
-
-  // Deadline shedding BEFORE the expensive embed: a request that already
-  // missed its deadline gets its status immediately and costs no compute.
-  std::vector<Request> live;
-  live.reserve(batch.size());
-  {
-    obs::Span shed_span("serve/dequeue_shed");
-    for (Request& request : batch) {
-      queue_micros_.Record(MicrosBetween(request.enqueued, drained));
-      if (request.deadline < drained) {
-        expired_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(request, TenantLedger::Event::kExpired);
-        FailRequest(request, Status::DeadlineExceeded("shed before embedding"));
-      } else {
-        live.push_back(std::move(request));
-      }
-    }
-  }
-  if (live.empty()) return;
-  batch_span.AddCount("live", live.size());
-  batch_size_.Record(static_cast<double>(live.size()));
-
+void Engine::ProcessBatch(std::vector<Request>& live, const BatchInfo& batch) {
   // Pin the snapshot for the whole batch: a concurrent ReloadSnapshot may
   // swap the engine past it, but this batch's queries all answer from one
   // coherent corpus.
@@ -561,7 +319,7 @@ void Engine::ProcessBatch(std::vector<Request> batch) {
     if (!embed_slots.empty()) {
       la::Matrix fresh;
       embedded = RetryStatus(
-          options_.embed_retry, batch_no,
+          options_.embed_retry, batch.number,
           [&] {
             Status injected = fail::Check("engine/embed");
             if (!injected.ok()) return injected;
@@ -590,10 +348,9 @@ void Engine::ProcessBatch(std::vector<Request> batch) {
     // visible by the time waiters observe their error), then fail the
     // batch loudly — never silently drop it.
     breaker_.RecordFailure(SteadyNow());
-    failed_.fetch_add(live.size(), std::memory_order_relaxed);
     for (Request& request : live) {
-      tenant_event(request, TenantLedger::Event::kFailed);
-      FailRequest(request, embedded);
+      batcher_.Failed(request);
+      request.Fail(embedded);
     }
     EMBER_WARN("embed stage failed after %llu retries: %s",
                static_cast<unsigned long long>(embed_retries),
@@ -686,18 +443,16 @@ void Engine::ProcessBatch(std::vector<Request> batch) {
       breaker_.RecordFailure(SteadyNow());
       for (size_t i = 0; i < live.size(); ++i) {
         if (live[i].kind == Request::Kind::kQuery) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          tenant_event(live[i], TenantLedger::Event::kFailed);
+          batcher_.Failed(live[i]);
           live[i].promise.set_value(query_fault);
-        } else if (mutate_results[i].ok()) {
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          tenant_event(live[i], TenantLedger::Event::kCompleted);
-          live[i].mutate_promise.set_value(std::move(mutate_results[i]));
-        } else {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          tenant_event(live[i], TenantLedger::Event::kFailed);
-          live[i].mutate_promise.set_value(std::move(mutate_results[i]));
+          continue;
         }
+        if (mutate_results[i].ok()) {
+          batcher_.Completed(live[i]);
+        } else {
+          batcher_.Failed(live[i]);
+        }
+        live[i].mutate_promise.set_value(std::move(mutate_results[i]));
       }
       return;
     }
@@ -711,34 +466,19 @@ void Engine::ProcessBatch(std::vector<Request> batch) {
     obs::Span complete_span("serve/complete");
     size_t query_slot = 0;
     for (size_t i = 0; i < live.size(); ++i) {
-      if (live[i].deadline < done) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(live[i], TenantLedger::Event::kDeadlineMiss);
-      }
-      const int64_t latency = MicrosBetween(live[i].enqueued, done);
-      total_micros_.Record(latency);
-      if (admission_.enabled() || !live[i].tenant.empty()) {
-        ledger_.RecordLatency(live[i].tenant, static_cast<double>(latency));
-      }
-      // The request's own span runs from enqueue (client thread) to
-      // completion (this worker) — an explicit-timestamp emit, parented
-      // under the batch and keyed by the in-batch slot.
-      obs::EmitSpan("serve/request", batch_span.context(), i,
-                    live[i].enqueued, done);
+      batcher_.Answered(live[i], done, batch.span, i);
       if (live[i].kind == Request::Kind::kQuery) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(live[i], TenantLedger::Event::kCompleted);
+        batcher_.Completed(live[i]);
         live[i].promise.set_value(
             QueryReply{std::move(neighbors[query_slot++])});
-      } else if (mutate_results[i].ok()) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(live[i], TenantLedger::Event::kCompleted);
-        live[i].mutate_promise.set_value(std::move(mutate_results[i]));
-      } else {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(live[i], TenantLedger::Event::kFailed);
-        live[i].mutate_promise.set_value(std::move(mutate_results[i]));
+        continue;
       }
+      if (mutate_results[i].ok()) {
+        batcher_.Completed(live[i]);
+      } else {
+        batcher_.Failed(live[i]);
+      }
+      live[i].mutate_promise.set_value(std::move(mutate_results[i]));
     }
   }
   postprocess_micros_.Record(timer.Seconds() * 1e6);
@@ -970,14 +710,7 @@ std::shared_ptr<const Snapshot> Engine::snapshot() const {
 
 EngineMetrics Engine::Metrics() const {
   EngineMetrics metrics;
-  metrics.submitted = submitted_.load(std::memory_order_relaxed);
-  metrics.completed = completed_.load(std::memory_order_relaxed);
-  metrics.rejected = rejected_.load(std::memory_order_relaxed);
-  metrics.throttled = throttled_.load(std::memory_order_relaxed);
-  metrics.expired = expired_.load(std::memory_order_relaxed);
-  metrics.failed = failed_.load(std::memory_order_relaxed);
-  metrics.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  metrics.batches = batches_.load(std::memory_order_relaxed);
+  static_cast<BatcherMetrics&>(metrics) = batcher_.Metrics();
   metrics.health = health();
   metrics.retries = retries_.load(std::memory_order_relaxed);
   metrics.fallbacks = fallbacks_.load(std::memory_order_relaxed);
@@ -993,14 +726,10 @@ EngineMetrics Engine::Metrics() const {
   metrics.compaction_failures =
       compaction_failures_.load(std::memory_order_relaxed);
   metrics.absorbs = absorbs_.load(std::memory_order_relaxed);
-  metrics.queue_micros = queue_micros_.Snapshot();
   metrics.embed_micros = embed_micros_.Snapshot();
   metrics.query_micros = query_micros_.Snapshot();
   metrics.mutate_micros = mutate_micros_.Snapshot();
   metrics.postprocess_micros = postprocess_micros_.Snapshot();
-  metrics.total_micros = total_micros_.Snapshot();
-  metrics.batch_size = batch_size_.Snapshot();
-  metrics.tenants = ledger_.Snapshot();
   return metrics;
 }
 

@@ -2,13 +2,11 @@
 #define EMBER_SERVE_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
@@ -19,6 +17,7 @@
 #include "index/neighbor.h"
 #include "recover/digest.h"
 #include "serve/admission.h"
+#include "serve/batcher.h"
 #include "serve/circuit_breaker.h"
 #include "serve/snapshot.h"
 #include "stream/live_corpus.h"
@@ -103,21 +102,12 @@ struct ResyncState {
   uint64_t upto_seq = 0;
 };
 
-/// Monotone counters + latency histograms, readable at any time. Counter
-/// identity: submitted == completed + expired + failed + still-in-flight
-/// (rejected and short_circuited submissions never enter the queue and are
-/// counted separately; retries/fallbacks/trips are rate counters, not part
-/// of the identity).
-struct EngineMetrics {
-  uint64_t submitted = 0;  // accepted into the queue
-  uint64_t completed = 0;  // future fulfilled with neighbors
-  uint64_t rejected = 0;   // refused at Submit (queue full / stopped)
-  uint64_t throttled = 0;  // refused at Submit by the token bucket (PR 10)
-  uint64_t expired = 0;    // shed before embedding (deadline passed)
-  uint64_t failed = 0;     // future fulfilled with a non-deadline error
-  uint64_t deadline_misses = 0;  // completed, but after their deadline
-  uint64_t batches = 0;
-
+/// The batcher's counters (BatcherMetrics: the counter identity, rejected,
+/// throttled, queue/total/batch-size histograms, per-tenant rows) plus the
+/// engine's stage counters and histograms, readable at any time. Retries,
+/// fallbacks, trips and short circuits are rate counters outside the
+/// identity (a short-circuited submit never enters the queue).
+struct EngineMetrics : BatcherMetrics {
   // Resilience counters (PR 4).
   Health health = Health::kServing;
   uint64_t retries = 0;          // embed attempts beyond each batch's first
@@ -137,25 +127,17 @@ struct EngineMetrics {
   uint64_t compaction_failures = 0;  // compactions rolled back
   uint64_t absorbs = 0;              // HNSW delta absorptions published
 
-  HistogramSnapshot queue_micros;  // submit -> drained from the queue
   HistogramSnapshot embed_micros;  // per batch: vectorization
   HistogramSnapshot query_micros;  // per batch: index search
   HistogramSnapshot mutate_micros;  // per batch: delta/tombstone application
   HistogramSnapshot postprocess_micros;  // per batch: reply assembly/futures
-  HistogramSnapshot total_micros;  // submit -> future completed
-  HistogramSnapshot batch_size;    // live requests per processed batch
-
-  /// Per-tenant breakdown (PR 10), sorted by tenant name; the untenanted
-  /// default path appears as tenant "default". Each tenant satisfies the
-  /// same counter identity as the engine-wide counters above.
-  std::vector<TenantCounters> tenants;
 };
 
 /// Long-lived online ER query engine in the inference-server style:
-/// producers Submit() single records with optional deadlines into a bounded
-/// MPMC queue; worker threads drain it under the max-batch/max-wait policy,
-/// vectorize each batch through the model's parallel VectorizeAll, run one
-/// QueryBatch against the snapshot, and complete the futures.
+/// producers Submit() single records with optional deadlines into its
+/// serve::Batcher; each drained batch is vectorized through the model's
+/// parallel VectorizeAll, answered by one QueryBatch against the snapshot,
+/// and its futures completed.
 ///
 /// Resilience (DESIGN.md §10): the embed stage retries under
 /// options.embed_retry; a circuit breaker trips on persistent batch
@@ -184,18 +166,15 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Non-blocking submit of one record. On acceptance returns the future
-  /// that will carry the top-k neighbors (or DeadlineExceeded if shed);
-  /// when the queue is full, the engine is stopped, or the circuit breaker
-  /// is open it returns Unavailable immediately — backpressure and
-  /// fail-fast are reported, never dropped.
+  /// that will carry the top-k neighbors (or DeadlineExceeded if shed).
+  /// Admission (DESIGN.md §9): the tenant's token bucket first (over quota:
+  /// Unavailable, counted throttled), then the circuit breaker, then the
+  /// queue bound — a refused submit returns Unavailable immediately;
+  /// backpressure and fail-fast are reported, never dropped. A bare
+  /// SteadyTime converts to SubmitOptions, so `Submit(record, deadline)` is
+  /// the untenanted form.
   Result<std::future<Result<QueryReply>>> Submit(
-      std::string record, SteadyTime deadline = kNoDeadline);
-
-  /// Tenant-aware submit (DESIGN.md §16): same admission rules as Submit
-  /// plus the per-tenant token bucket gate — an over-quota tenant gets
-  /// Unavailable immediately without enqueueing, counted as throttled.
-  Result<std::future<Result<QueryReply>>> Submit(std::string record,
-                                                 const SubmitOptions& opts);
+      std::string record, const SubmitOptions& opts = {});
 
   /// Non-blocking submit of one already-embedded query vector — the sharded
   /// Router's fan-out path (DESIGN.md §13): the router embeds a record once
@@ -204,10 +183,7 @@ class Engine {
   /// InvalidArgument when the vector's dimensionality does not match the
   /// engine's model.
   Result<std::future<Result<QueryReply>>> SubmitEmbedded(
-      std::vector<float> embedding, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<QueryReply>>> SubmitEmbedded(
-      std::vector<float> embedding, const SubmitOptions& opts);
+      std::vector<float> embedding, const SubmitOptions& opts = {});
 
   /// Live mode only: admits one record into the live corpus through the
   /// same micro-batcher as queries (embedded in the batch's embed stage,
@@ -215,26 +191,17 @@ class Engine {
   /// carries the global id the row was admitted under. Same admission rules
   /// as Submit; InvalidArgument when the engine is not live.
   Result<std::future<Result<MutateReply>>> Upsert(
-      std::string record, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<MutateReply>>> Upsert(std::string record,
-                                                  const SubmitOptions& opts);
+      std::string record, const SubmitOptions& opts = {});
 
   /// Pre-embedded upsert (the Router's mutation fan-out path).
   Result<std::future<Result<MutateReply>>> UpsertEmbedded(
-      std::vector<float> embedding, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<MutateReply>>> UpsertEmbedded(
-      std::vector<float> embedding, const SubmitOptions& opts);
+      std::vector<float> embedding, const SubmitOptions& opts = {});
 
   /// Live mode only: publishes a tombstone for `global_id` through the
   /// batcher. NotFound (via the future) when the id is unknown or already
   /// dead.
   Result<std::future<Result<MutateReply>>> Delete(
-      uint64_t global_id, SteadyTime deadline = kNoDeadline);
-
-  Result<std::future<Result<MutateReply>>> Delete(uint64_t global_id,
-                                                  const SubmitOptions& opts);
+      uint64_t global_id, const SubmitOptions& opts = {});
 
   /// Live mode only: rewrites base + delta − tombstones into a merged
   /// EMBS0002 snapshot at `path` and hot-swaps it in as the new base via
@@ -311,7 +278,7 @@ class Engine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  struct Request {
+  struct Request : QueuedRequest {
     enum class Kind : uint8_t { kQuery = 0, kUpsert = 1, kDelete = 2 };
     Kind kind = Kind::kQuery;
     std::string record;
@@ -320,47 +287,33 @@ class Engine {
     bool pre_embedded = false;
     /// kDelete only: the global id to tombstone.
     uint64_t delete_id = 0;
-    SteadyTime deadline;
-    SteadyTime enqueued;
-    /// Admission/accounting identity ("" = the default tenant).
-    std::string tenant;
-    /// Arrival order, assigned under mu_ — the EDF heap's tie-breaker and
-    /// the kFifo ordering key.
-    uint64_t seq = 0;
     /// Exactly one promise is armed, per kind.
     std::promise<Result<QueryReply>> promise;
     std::promise<Result<MutateReply>> mutate_promise;
-  };
 
-  /// Min-heap "greater" comparator over queued requests: under kEdf the
-  /// earliest deadline drains first (seq breaks ties, so deadline-free
-  /// traffic — every deadline == kNoDeadline — degenerates to arrival
-  /// order); under kFifo only seq matters.
-  struct RequestUrgency {
-    QueuePolicy policy;
-    bool operator()(const Request& a, const Request& b) const {
-      if (policy == QueuePolicy::kEdf && a.deadline != b.deadline) {
-        return a.deadline > b.deadline;
+    /// Fails the request through whichever promise its kind armed.
+    void Fail(const Status& status) {
+      if (kind == Kind::kQuery) {
+        promise.set_value(status);
+      } else {
+        mutate_promise.set_value(status);
       }
-      return a.seq > b.seq;
     }
   };
 
   Engine(Snapshot snapshot, std::shared_ptr<embed::EmbeddingModel> model,
          const EngineOptions& options);
 
-  void WorkerLoop();
-  void ProcessBatch(std::vector<Request> batch);
-  /// Common admission tail of Submit/SubmitEmbedded: token bucket (at
-  /// `admit_time`; kAdmitNow = the real clock), breaker gate, queue bound,
-  /// heap push + wake a worker.
-  Status Enqueue(Request request, SteadyTime admit_time);
+  /// The batch stage: embed, mutate, query, complete.
+  void ProcessBatch(std::vector<Request>& live, const BatchInfo& batch);
+  /// Common admission of every submit path: stamps the deadline and
+  /// tenant, then the token bucket (at opts.admit_time), the breaker gate,
+  /// and the queue.
+  Status Enqueue(Request request, const SubmitOptions& opts);
   /// Mutation-path admission: arms the mutate promise, refuses when the
   /// engine is not live, then shares Enqueue.
   Result<std::future<Result<MutateReply>>> EnqueueMutation(
-      Request request, SteadyTime admit_time);
-  /// Fails one request through whichever promise its kind armed.
-  static void FailRequest(Request& request, const Status& status);
+      Request request, const SubmitOptions& opts);
   /// Validates a snapshot against the engine's embedding model (same checks
   /// as Create) — shared by Create and ReloadSnapshot.
   static Status CheckModelCompatible(const SnapshotManifest& manifest,
@@ -383,23 +336,11 @@ class Engine {
   EngineOptions options_;
   std::atomic<size_t> k_{10};
 
-  std::mutex mu_;
-  std::condition_variable queue_cv_;
-  /// Binary heap ordered by RequestUrgency (std::push_heap/pop_heap):
-  /// queue_.front() is always the next request to drain under the
-  /// configured policy.
-  std::vector<Request> queue_;
-  uint64_t queue_seq_ = 0;  // next arrival sequence number, under mu_
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-
   std::string instance_;  // registry label, "0", "1", ... per process
   uint64_t collector_id_ = 0;
   std::atomic<bool> collector_registered_{false};
 
   CircuitBreaker breaker_;
-  AdmissionController admission_;
-  TenantLedger ledger_;
   std::mutex reload_mu_;  // serializes ReloadSnapshot callers
   std::mutex compaction_mu_;  // serializes Compact/Absorb/Resync callers
   /// Frozen-engine digest cache (live engines answer from the corpus).
@@ -409,16 +350,8 @@ class Engine {
   std::atomic<bool> reloading_{false};
   std::atomic<bool> degraded_{false};
 
-  // Counters are atomics (not guarded by mu_): Metrics() must stay cheap
-  // enough to call from a live load generator.
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> throttled_{0};
-  std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
-  std::atomic<uint64_t> batches_{0};
+  // Stage counters are atomics: Metrics() must stay cheap enough to call
+  // from a live load generator.
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> fallbacks_{0};
   std::atomic<uint64_t> short_circuits_{0};
@@ -430,13 +363,11 @@ class Engine {
   std::atomic<uint64_t> compactions_{0};
   std::atomic<uint64_t> compaction_failures_{0};
   std::atomic<uint64_t> absorbs_{0};
-  LatencyHistogram queue_micros_;
   LatencyHistogram embed_micros_;
   LatencyHistogram query_micros_;
   LatencyHistogram mutate_micros_;
   LatencyHistogram postprocess_micros_;
-  LatencyHistogram total_micros_;
-  LatencyHistogram batch_size_;
+  Batcher<Request> batcher_;
 };
 
 }  // namespace ember::serve

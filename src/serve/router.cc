@@ -34,6 +34,10 @@ namespace {
 /// half-open recovery path needs.
 constexpr uint64_t kProbeEvery = 16;
 
+constexpr BatcherNames kRouterNames = {
+    "router",       "ember_router",        "router/admit",
+    "router/batch", "router/dequeue_shed", "router/request"};
+
 std::vector<obs::Sample> RouterMetricsToSamples(const RouterMetrics& metrics,
                                                 const std::string& instance) {
   const obs::Labels labels = {{"router", instance}};
@@ -58,23 +62,7 @@ std::vector<obs::Sample> RouterMetricsToSamples(const RouterMetrics& metrics,
     sample.histogram = snapshot;
     samples.push_back(std::move(sample));
   };
-  counter("ember_router_submitted_total", "Requests accepted into the queue",
-          metrics.submitted);
-  counter("ember_router_completed_total", "Requests answered with neighbors",
-          metrics.completed);
-  counter("ember_router_rejected_total", "Requests refused at Submit",
-          metrics.rejected);
-  counter("ember_router_throttled_total",
-          "Requests refused by the per-tenant token bucket",
-          metrics.throttled);
-  counter("ember_router_expired_total", "Requests shed before embedding",
-          metrics.expired);
-  counter("ember_router_failed_total", "Requests failed with an error",
-          metrics.failed);
-  counter("ember_router_deadline_misses_total",
-          "Requests completed after their deadline", metrics.deadline_misses);
-  counter("ember_router_batches_total", "Micro-batches processed",
-          metrics.batches);
+  AppendBatcherSamples(metrics, kRouterNames.metric_prefix, labels, samples);
   counter("ember_router_retries_total", "Embed retry attempts",
           metrics.retries);
   counter("ember_router_partial_total",
@@ -122,8 +110,6 @@ std::vector<obs::Sample> RouterMetricsToSamples(const RouterMetrics& metrics,
       samples.push_back(std::move(sample));
     }
   }
-  histogram("ember_router_queue_micros", "Submit to dequeue wait per request",
-            metrics.queue_micros, {});
   histogram("ember_router_embed_micros", "Embed-once time per batch",
             metrics.embed_micros, {});
   histogram("ember_router_fanout_micros", "Scatter submit time per batch",
@@ -133,10 +119,6 @@ std::vector<obs::Sample> RouterMetricsToSamples(const RouterMetrics& metrics,
   histogram("ember_router_merge_micros",
             "K-way merge + completion time per batch", metrics.merge_micros,
             {});
-  histogram("ember_router_total_micros", "Submit to completion per request",
-            metrics.total_micros, {});
-  histogram("ember_router_batch_size", "Live requests per processed batch",
-            metrics.batch_size, {});
   for (size_t s = 0; s < metrics.shard_micros.size(); ++s) {
     for (size_t r = 0; r < metrics.shard_micros[s].size(); ++r) {
       histogram("ember_router_shard_micros",
@@ -145,48 +127,6 @@ std::vector<obs::Sample> RouterMetricsToSamples(const RouterMetrics& metrics,
                 {{"shard", std::to_string(s)},
                  {"replica", std::to_string(r)}});
     }
-  }
-  // Per-tenant breakdown (DESIGN.md §16): rows exist only for tenant-aware
-  // traffic, so untenanted routers export the pre-PR10 sample set exactly.
-  for (const TenantCounters& tenant : metrics.tenants) {
-    const obs::Labels tenant_labels = {{"router", instance},
-                                       {"tenant", tenant.tenant}};
-    auto tenant_counter = [&](const char* name, const char* help,
-                              uint64_t value) {
-      obs::Sample sample;
-      sample.name = name;
-      sample.help = help;
-      sample.kind = obs::MetricKind::kCounter;
-      sample.labels = tenant_labels;
-      sample.value = static_cast<double>(value);
-      samples.push_back(std::move(sample));
-    };
-    tenant_counter("ember_router_tenant_submitted_total",
-                   "Per-tenant requests accepted into the queue",
-                   tenant.submitted);
-    tenant_counter("ember_router_tenant_completed_total",
-                   "Per-tenant requests completed", tenant.completed);
-    tenant_counter("ember_router_tenant_throttled_total",
-                   "Per-tenant requests refused by the token bucket",
-                   tenant.throttled);
-    tenant_counter("ember_router_tenant_rejected_total",
-                   "Per-tenant requests refused by backpressure",
-                   tenant.rejected);
-    tenant_counter("ember_router_tenant_expired_total",
-                   "Per-tenant requests shed past their deadline",
-                   tenant.expired);
-    tenant_counter("ember_router_tenant_failed_total",
-                   "Per-tenant requests failed with an error", tenant.failed);
-    tenant_counter("ember_router_tenant_deadline_misses_total",
-                   "Per-tenant requests completed after their deadline",
-                   tenant.deadline_misses);
-    obs::Sample latency;
-    latency.name = "ember_router_tenant_total_micros";
-    latency.help = "Per-tenant submit to completion latency";
-    latency.kind = obs::MetricKind::kHistogram;
-    latency.labels = tenant_labels;
-    latency.histogram = tenant.total_micros;
-    samples.push_back(std::move(latency));
   }
   return samples;
 }
@@ -403,11 +343,7 @@ Router::Router(std::vector<ShardGroup> groups,
       model_(std::move(model)),
       options_(options),
       shard_count_(static_cast<uint32_t>(groups_.size())),
-      admission_(options.quotas) {
-  options_.max_queue = std::max<size_t>(1, options_.max_queue);
-  options_.max_batch = std::max<size_t>(1, options_.max_batch);
-  options_.workers = std::max<size_t>(1, options_.workers);
-  options_.max_wait_micros = std::max<int64_t>(0, options_.max_wait_micros);
+      batcher_(BatcherOptions::From(options), kRouterNames) {
   options_.log_capacity = std::max<size_t>(1, options_.log_capacity);
   const SnapshotManifest& first =
       groups_.front().engines.front()->snapshot()->manifest();
@@ -430,10 +366,9 @@ Router::Router(std::vector<ShardGroup> groups,
   collector_id_ = obs::Registry::Global().AddCollector(
       [this] { return RouterMetricsToSamples(Metrics(), instance_); });
   collector_registered_.store(true, std::memory_order_release);
-  workers_.reserve(options_.workers);
-  for (size_t w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  batcher_.Start([this](std::vector<Request>& live, const BatchInfo& batch) {
+    ProcessBatch(live, batch);
+  });
   if (options_.recover_tick_micros > 0) {
     recovery_worker_ = std::thread([this] { RecoveryLoop(); });
   }
@@ -453,14 +388,7 @@ void Router::Stop() {
   }
   recovery_cv_.notify_all();
   if (recovery_worker_.joinable()) recovery_worker_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  batcher_.Stop();
   // Engines stop after the router drains: in-flight fan-outs keep their
   // shard queues alive until every router promise is settled.
   for (ShardGroup& group : groups_) {
@@ -468,58 +396,17 @@ void Router::Stop() {
   }
 }
 
-Result<std::future<Result<RouterReply>>> Router::Submit(std::string record,
-                                                        SteadyTime deadline) {
-  SubmitOptions opts;
-  opts.deadline = deadline;
-  return Submit(std::move(record), opts);
-}
-
 Result<std::future<Result<RouterReply>>> Router::Submit(
     std::string record, const SubmitOptions& opts) {
-  const std::string tenant = opts.tenant;
-  const bool tracked = admission_.enabled() || !tenant.empty();
-  // Token-bucket admission FIRST (DESIGN.md §16), before the queue bound:
-  // the throttle verdict depends only on the quota and admit timestamps,
-  // never on queue depth, so replayed traces reproduce it exactly.
-  if (admission_.enabled()) {
-    obs::Span admit_span("router/admit");
-    const SteadyTime now =
-        opts.admit_time == kAdmitNow ? SteadyNow() : opts.admit_time;
-    Status admitted = admission_.Admit(tenant, now);
-    if (!admitted.ok()) {
-      throttled_.fetch_add(1, std::memory_order_relaxed);
-      ledger_.Record(tenant, TenantLedger::Event::kThrottled);
-      return admitted;
-    }
-  }
+  Status admitted = batcher_.Admit(opts.tenant, opts.admit_time);
+  if (!admitted.ok()) return admitted;
   Request request;
   request.record = std::move(record);
   request.deadline = opts.deadline;
-  request.tenant = tenant;
-  request.enqueued = SteadyNow();
+  request.tenant = opts.tenant;
   std::future<Result<RouterReply>> future = request.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (tracked) ledger_.Record(tenant, TenantLedger::Event::kRejected);
-      return Status::Unavailable("router is stopped");
-    }
-    if (queue_.size() >= options_.max_queue) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (tracked) ledger_.Record(tenant, TenantLedger::Event::kRejected);
-      return Status::Unavailable("queue full (" +
-                                 std::to_string(options_.max_queue) + ")");
-    }
-    request.seq = queue_seq_++;
-    queue_.push_back(std::move(request));
-    std::push_heap(queue_.begin(), queue_.end(),
-                   RequestUrgency{options_.queue_policy});
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (tracked) ledger_.Record(tenant, TenantLedger::Event::kSubmitted);
-  }
-  queue_cv_.notify_one();
+  Status pushed = batcher_.Push(std::move(request));
+  if (!pushed.ok()) return pushed;
   return future;
 }
 
@@ -1085,40 +972,6 @@ bool Router::ResyncReplica(ShardGroup& group, size_t group_index,
   return true;
 }
 
-void Router::WorkerLoop() {
-  for (;;) {
-    std::vector<Request> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      const SteadyTime window_end =
-          AfterMicros(queue_.front().enqueued, options_.max_wait_micros);
-      queue_cv_.wait_until(lock, window_end, [this] {
-        return stopping_ || queue_.size() >= options_.max_batch;
-      });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      // Heap pops drain in urgency order (earliest deadline first under
-      // kEdf, arrival order otherwise).
-      const RequestUrgency urgency{options_.queue_policy};
-      const size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        std::pop_heap(queue_.begin(), queue_.end(), urgency);
-        batch.push_back(std::move(queue_.back()));
-        queue_.pop_back();
-      }
-    }
-    ProcessBatch(std::move(batch));
-  }
-}
-
 std::vector<size_t> Router::ReplicaOrder(ShardGroup& group) const {
   const size_t replicas = group.engines.size();
   const uint64_t ticket = group.rotation.fetch_add(1,
@@ -1146,40 +999,7 @@ std::vector<size_t> Router::ReplicaOrder(ShardGroup& group) const {
   return order;
 }
 
-void Router::ProcessBatch(std::vector<Request> batch) {
-  const SteadyTime drained = SteadyNow();
-  const uint64_t batch_no = batches_.fetch_add(1, std::memory_order_relaxed);
-  obs::Span batch_span("router/batch", obs::Span::RootTag{}, batch_no);
-  batch_span.AddCount("requests", batch.size());
-
-  // Per-tenant accounting, active only for tenant-aware traffic.
-  auto tenant_event = [this](const Request& request,
-                             TenantLedger::Event event) {
-    if (admission_.enabled() || !request.tenant.empty()) {
-      ledger_.Record(request.tenant, event);
-    }
-  };
-
-  std::vector<Request> live;
-  live.reserve(batch.size());
-  {
-    obs::Span shed_span("router/dequeue_shed");
-    for (Request& request : batch) {
-      queue_micros_.Record(MicrosBetween(request.enqueued, drained));
-      if (request.deadline < drained) {
-        expired_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(request, TenantLedger::Event::kExpired);
-        request.promise.set_value(
-            Status::DeadlineExceeded("shed before embedding"));
-      } else {
-        live.push_back(std::move(request));
-      }
-    }
-  }
-  if (live.empty()) return;
-  batch_span.AddCount("live", live.size());
-  batch_size_.Record(static_cast<double>(live.size()));
-
+void Router::ProcessBatch(std::vector<Request>& live, const BatchInfo& batch) {
   std::vector<std::string> sentences;
   sentences.reserve(live.size());
   for (const Request& request : live) sentences.push_back(request.record);
@@ -1193,7 +1013,7 @@ void Router::ProcessBatch(std::vector<Request> batch) {
   {
     obs::Span embed_span("router/embed");
     embedded = RetryStatus(
-        options_.embed_retry, batch_no,
+        options_.embed_retry, batch.number,
         [&] {
           Status injected = fail::Check("router/embed");
           if (!injected.ok()) return injected;
@@ -1206,10 +1026,9 @@ void Router::ProcessBatch(std::vector<Request> batch) {
   retries_.fetch_add(embed_retries, std::memory_order_relaxed);
   embed_micros_.Record(timer.Restart() * 1e6);
   if (!embedded.ok()) {
-    failed_.fetch_add(live.size(), std::memory_order_relaxed);
     for (Request& request : live) {
-      tenant_event(request, TenantLedger::Event::kFailed);
-      request.promise.set_value(embedded);
+      batcher_.Failed(request);
+      request.Fail(embedded);
     }
     EMBER_WARN("router embed stage failed after %llu retries: %s",
                static_cast<unsigned long long>(embed_retries),
@@ -1311,9 +1130,8 @@ void Router::ProcessBatch(std::vector<Request> batch) {
       }
       shards_degraded_.fetch_add(missing, std::memory_order_relaxed);
       if (missing > 0 && !options_.allow_partial) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(live[i], TenantLedger::Event::kFailed);
-        live[i].promise.set_value(Status::Unavailable(
+        batcher_.Failed(live[i]);
+        live[i].Fail(Status::Unavailable(
             std::to_string(missing) + " shard group(s) down"));
         continue;
       }
@@ -1322,19 +1140,8 @@ void Router::ProcessBatch(std::vector<Request> batch) {
       reply.partial = missing > 0;
       if (reply.partial) partial_.fetch_add(1, std::memory_order_relaxed);
       ++merged_count;
-      if (live[i].deadline < done) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        tenant_event(live[i], TenantLedger::Event::kDeadlineMiss);
-      }
-      const int64_t latency = MicrosBetween(live[i].enqueued, done);
-      total_micros_.Record(latency);
-      if (admission_.enabled() || !live[i].tenant.empty()) {
-        ledger_.RecordLatency(live[i].tenant, static_cast<double>(latency));
-      }
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      tenant_event(live[i], TenantLedger::Event::kCompleted);
-      obs::EmitSpan("router/request", batch_span.context(), i,
-                    live[i].enqueued, done);
+      batcher_.Answered(live[i], done, batch.span, i);
+      batcher_.Completed(live[i]);
       live[i].promise.set_value(std::move(reply));
     }
     merge_span.AddCount("merged", merged_count);
@@ -1364,14 +1171,7 @@ Health Router::health() const {
 
 RouterMetrics Router::Metrics() const {
   RouterMetrics metrics;
-  metrics.submitted = submitted_.load(std::memory_order_relaxed);
-  metrics.completed = completed_.load(std::memory_order_relaxed);
-  metrics.rejected = rejected_.load(std::memory_order_relaxed);
-  metrics.throttled = throttled_.load(std::memory_order_relaxed);
-  metrics.expired = expired_.load(std::memory_order_relaxed);
-  metrics.failed = failed_.load(std::memory_order_relaxed);
-  metrics.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  metrics.batches = batches_.load(std::memory_order_relaxed);
+  static_cast<BatcherMetrics&>(metrics) = batcher_.Metrics();
   metrics.retries = retries_.load(std::memory_order_relaxed);
   metrics.partial = partial_.load(std::memory_order_relaxed);
   metrics.shards_degraded = shards_degraded_.load(std::memory_order_relaxed);
@@ -1399,20 +1199,16 @@ RouterMetrics Router::Metrics() const {
           meta->state.load(std::memory_order_acquire)));
     }
   }
-  metrics.queue_micros = queue_micros_.Snapshot();
   metrics.embed_micros = embed_micros_.Snapshot();
   metrics.fanout_micros = fanout_micros_.Snapshot();
   metrics.gather_micros = gather_micros_.Snapshot();
   metrics.merge_micros = merge_micros_.Snapshot();
-  metrics.total_micros = total_micros_.Snapshot();
-  metrics.batch_size = batch_size_.Snapshot();
   metrics.shard_micros.resize(shard_micros_.size());
   for (size_t s = 0; s < shard_micros_.size(); ++s) {
     for (const auto& histogram : shard_micros_[s]) {
       metrics.shard_micros[s].push_back(histogram->Snapshot());
     }
   }
-  metrics.tenants = ledger_.Snapshot();
   return metrics;
 }
 

@@ -20,6 +20,7 @@
 #include "index/neighbor.h"
 #include "la/matrix.h"
 #include "recover/mutation_log.h"
+#include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
 
@@ -115,20 +116,12 @@ struct RouterReply {
   bool partial = false;
 };
 
-/// Monotone counters + latency histograms for the router, readable at any
-/// time. Counter identity: submitted == completed + expired + failed +
-/// still-in-flight. `shard_micros[s][r]` observes per-replica round trips
-/// as seen from the router's gather loop (fan-out start to that replica's
-/// future resolving).
-struct RouterMetrics {
-  uint64_t submitted = 0;
-  uint64_t completed = 0;
-  uint64_t rejected = 0;       // refused at Submit (queue full / stopped)
-  uint64_t throttled = 0;      // refused at Submit by the token bucket
-  uint64_t expired = 0;        // shed before embedding
-  uint64_t failed = 0;         // futures failed with an error
-  uint64_t deadline_misses = 0;
-  uint64_t batches = 0;
+/// The batcher's counters (BatcherMetrics: the counter identity, rejected,
+/// throttled, queue/total/batch-size histograms, per-tenant rows) plus the
+/// router's fan-out, mutation and recovery counters, readable at any time.
+/// `shard_micros[s][r]` observes per-replica round trips as seen from the
+/// router's gather loop (fan-out start to that replica's future resolving).
+struct RouterMetrics : BatcherMetrics {
   uint64_t retries = 0;          // embed attempts beyond each batch's first
   uint64_t partial = 0;          // replies completed with a missing shard
   uint64_t shards_degraded = 0;  // (request, shard group) pairs unanswered
@@ -145,20 +138,15 @@ struct RouterMetrics {
   uint64_t replayed_mutations = 0;  // log records re-applied during catch-up
   uint64_t digest_mismatches = 0;   // anti-entropy probes that found a liar
 
-  HistogramSnapshot queue_micros;   // submit -> drained from the queue
   HistogramSnapshot embed_micros;   // per batch: embed-once
   HistogramSnapshot fanout_micros;  // per batch: scatter submits
   HistogramSnapshot gather_micros;  // per batch: waiting on shard futures
   HistogramSnapshot merge_micros;   // per batch: k-way merges + completion
-  HistogramSnapshot total_micros;   // submit -> future completed
-  HistogramSnapshot batch_size;     // live requests per processed batch
   std::vector<std::vector<HistogramSnapshot>> shard_micros;  // [shard][rep]
   /// Per-replica recovery gauges: the last group mutation seq each replica
   /// has applied, and its lifecycle state. [shard][replica].
   std::vector<std::vector<uint64_t>> last_applied_seq;
   std::vector<std::vector<ReplicaState>> replica_states;
-  /// Per-tenant breakdown (PR 10), sorted by tenant name.
-  std::vector<TenantCounters> tenants;
 };
 
 /// Scatter-gather front end over sharded Engines (DESIGN.md §13): producers
@@ -199,16 +187,12 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Non-blocking submit of one record; Unavailable on a full queue or
-  /// stopped router (backpressure, never blocking).
+  /// Non-blocking submit of one record. Same admission as the Engine's,
+  /// minus the breaker (DESIGN.md §9): the tenant's token bucket (over
+  /// quota: Unavailable, counted throttled), then the queue bound
+  /// (Unavailable on a full queue or stopped router, never blocking).
   Result<std::future<Result<RouterReply>>> Submit(
-      std::string record, SteadyTime deadline = kNoDeadline);
-
-  /// Tenant-aware submit (DESIGN.md §16): same admission rules plus the
-  /// per-tenant token bucket — an over-quota tenant gets Unavailable
-  /// immediately without enqueueing, counted as throttled.
-  Result<std::future<Result<RouterReply>>> Submit(std::string record,
-                                                  const SubmitOptions& opts);
+      std::string record, const SubmitOptions& opts = {});
 
   /// Routes one upsert to its owning shard group (round-robin mutation
   /// ticket) and applies it on EVERY replica of that group, serialized per
@@ -279,26 +263,11 @@ class Router {
   const RouterOptions& options() const { return options_; }
 
  private:
-  struct Request {
+  struct Request : QueuedRequest {
     std::string record;
-    SteadyTime deadline;
-    SteadyTime enqueued;
-    std::string tenant;  // "" = the default tenant
-    uint64_t seq = 0;    // arrival order (EDF tie-break / kFifo key)
     std::promise<Result<RouterReply>> promise;
-  };
 
-  /// Min-heap "greater" comparator (same semantics as the Engine's):
-  /// earliest deadline first under kEdf with seq as the tie-break, seq only
-  /// under kFifo.
-  struct RequestUrgency {
-    QueuePolicy policy;
-    bool operator()(const Request& a, const Request& b) const {
-      if (policy == QueuePolicy::kEdf && a.deadline != b.deadline) {
-        return a.deadline > b.deadline;
-      }
-      return a.seq > b.seq;
-    }
+    void Fail(const Status& status) { promise.set_value(status); }
   };
 
   /// Per-replica recovery bookkeeping. Heap-pinned (unique_ptr storage)
@@ -342,8 +311,8 @@ class Router {
          std::shared_ptr<embed::EmbeddingModel> model,
          const RouterOptions& options);
 
-  void WorkerLoop();
-  void ProcessBatch(std::vector<Request> batch);
+  /// The batch stage: embed once, fan out, gather, merge, complete.
+  void ProcessBatch(std::vector<Request>& live, const BatchInfo& batch);
   /// Shared broadcast tail of Upsert/Delete (DESIGN.md §15). Under the
   /// group lock: appends `record` to the mutation log FIRST (fail-closed —
   /// an unlogged mutation is refused), applies it to every kActive replica,
@@ -403,29 +372,10 @@ class Router {
   uint32_t shard_count_ = 1;
   size_t k_ = 10;
 
-  std::mutex mu_;
-  std::condition_variable queue_cv_;
-  /// Binary heap ordered by RequestUrgency; front() is the next to drain.
-  std::vector<Request> queue_;
-  uint64_t queue_seq_ = 0;  // next arrival sequence number, under mu_
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-
   std::string instance_;
   uint64_t collector_id_ = 0;
   std::atomic<bool> collector_registered_{false};
 
-  AdmissionController admission_;
-  TenantLedger ledger_;
-
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> throttled_{0};
-  std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
-  std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> partial_{0};
   std::atomic<uint64_t> shards_degraded_{0};
@@ -449,16 +399,14 @@ class Router {
   /// Round-robin owner ticket for upserts (mutations spread across groups
   /// the same way the corpus rows do).
   std::atomic<uint64_t> mutation_ticket_{0};
-  LatencyHistogram queue_micros_;
   LatencyHistogram embed_micros_;
   LatencyHistogram fanout_micros_;
   LatencyHistogram gather_micros_;
   LatencyHistogram merge_micros_;
-  LatencyHistogram total_micros_;
-  LatencyHistogram batch_size_;
   /// [shard][replica] round-trip histograms (LatencyHistogram is atomic and
   /// therefore pinned in place — hence unique_ptr storage).
   std::vector<std::vector<std::unique_ptr<LatencyHistogram>>> shard_micros_;
+  Batcher<Request> batcher_;
 };
 
 }  // namespace ember::serve

@@ -25,6 +25,7 @@
 #include "common/failpoint.h"
 #include "core/sharding.h"
 #include "la/vector_ops.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "proptest.h"
@@ -55,6 +56,8 @@ using serve::RouterOptions;
 using serve::RouterReply;
 using serve::Snapshot;
 using serve::SnapshotManifest;
+using serve::SubmitOptions;
+using serve::TenantCounters;
 
 constexpr size_t kDim = 16;
 
@@ -804,6 +807,78 @@ TEST(Router, EmbedFailpointIsLiveAndRetried) {
   const auto metrics = router.value()->Metrics();
   EXPECT_GE(metrics.retries, 1u);
   EXPECT_EQ(metrics.failed, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Router admission: token buckets and the per-tenant ledger (DESIGN.md §16)
+// ---------------------------------------------------------------------------
+
+TEST(RouterAdmission, QuotaThrottlesOnlyItsTenantAndLedgerBalances) {
+  Fleet fleet = MakeFleet(24, 2, 1);
+  RouterOptions options;
+  options.k = 5;
+  // "metered" holds a burst of 2; "free" has no quota at all.
+  options.quotas = {{"metered", 1.0, 2.0}};
+  auto router =
+      Router::Create(std::move(fleet.engines), fleet.model, options);
+  ASSERT_TRUE(router.ok());
+  // Every submit charges the bucket at one fixed instant, so nothing
+  // refills between them: exactly the burst is admitted on any host.
+  const SteadyTime admit_at = SteadyNow();
+  constexpr size_t kPerTenant = 6;
+  std::vector<std::future<Result<RouterReply>>> futures;
+  uint64_t refused = 0;
+  for (size_t i = 0; i < 2 * kPerTenant; ++i) {
+    SubmitOptions submit;
+    submit.tenant = i % 2 == 0 ? "metered" : "free";
+    submit.admit_time = admit_at;
+    auto submitted =
+        router.value()->Submit("admission probe " + std::to_string(i), submit);
+    if (!submitted.ok()) {
+      EXPECT_EQ(submit.tenant, "metered");
+      EXPECT_EQ(submitted.status().code(), Status::Code::kUnavailable);
+      EXPECT_NE(submitted.status().message().find("over quota"),
+                std::string::npos);
+      ++refused;
+      continue;
+    }
+    futures.push_back(std::move(submitted).value());
+  }
+  EXPECT_EQ(refused, kPerTenant - 2);
+  for (auto& future : futures) EXPECT_TRUE(future.get().ok());
+  // Scrape while the router is live: Stop unregisters its collector.
+  const std::string scrape = obs::Registry::Global().ToPrometheusText();
+  router.value()->Stop();
+
+  const auto metrics = router.value()->Metrics();
+  EXPECT_EQ(metrics.throttled, refused);
+  // Throttled submits were never enqueued.
+  EXPECT_EQ(metrics.submitted, futures.size());
+  EXPECT_EQ(metrics.completed + metrics.expired + metrics.failed,
+            metrics.submitted);
+  uint64_t tenant_throttled = 0;
+  bool saw_free = false;
+  for (const TenantCounters& tenant : metrics.tenants) {
+    EXPECT_EQ(tenant.completed + tenant.expired + tenant.failed,
+              tenant.submitted)
+        << "tenant " << tenant.tenant;
+    tenant_throttled += tenant.throttled;
+    if (tenant.tenant == "free") {
+      saw_free = true;
+      EXPECT_EQ(tenant.throttled, 0u);
+      EXPECT_EQ(tenant.submitted, kPerTenant);
+    } else {
+      EXPECT_EQ(tenant.tenant, "metered");
+      EXPECT_EQ(tenant.submitted, 2u);
+    }
+  }
+  EXPECT_TRUE(saw_free);
+  EXPECT_EQ(metrics.throttled, tenant_throttled);
+  const std::string series = "ember_router_tenant_throttled_total{router=\"" +
+                             router.value()->instance() +
+                             "\",tenant=\"metered\"} " +
+                             std::to_string(refused) + "\n";
+  EXPECT_NE(scrape.find(series), std::string::npos) << scrape;
 }
 
 // ---------------------------------------------------------------------------

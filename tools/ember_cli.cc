@@ -72,10 +72,11 @@
 //
 //   serve-bench also takes the workload/admission flags: --tenants n tags
 //   the open-loop submissions round-robin across n tenants, --quota f
-//   [--quota-burst f] arms a per-tenant token bucket at that rate,
-//   --policy edf|fifo picks the queue drain order, and --trace-file path
-//   drives the engine from a recorded EMBT0001 trace (timed replay) instead
-//   of the synthetic query loop.
+//   [--quota-burst f] arms a per-tenant token bucket at that rate, and
+//   --policy edf|fifo picks the queue drain order; on the sharded path they
+//   configure the router's batcher. --trace-file path drives a single
+//   engine from a recorded EMBT0001 trace (timed replay) instead of the
+//   synthetic query loop; it is refused with --shards/--replicas.
 //
 // When the build compiles failpoints in (the default), the EMBER_FAILPOINTS
 // environment variable arms fault-injection sites before any command runs;
@@ -145,11 +146,12 @@ int Usage(const char* argv0) {
                "       %s trace-replay <in.trace> [--workers n] [--batch n] "
                "[--wait-us n] [--queue n] [--fifo] [--timed] [--speed f] "
                "[--outstanding n] [--rows n]\n"
-               "       (serve-bench also takes --shards N --replicas R for "
-               "routed scatter-gather serving, --kill-replica s:r "
-               "[--rejoin-replica] for a recovery drill, and --tenants n "
-               "--quota f --policy edf|fifo --trace-file path for the "
-               "workload/admission harness)\n",
+               "       (serve-bench also takes --tenants n --quota f "
+               "[--quota-burst f] --policy edf|fifo for admission, and "
+               "--trace-file path for timed trace replay; --shards N "
+               "--replicas R serve through a router, which takes every "
+               "serve-bench flag except --trace-file, plus --kill-replica "
+               "s:r [--rejoin-replica] for a recovery drill)\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
                argv0, argv0);
   return 2;
@@ -388,14 +390,40 @@ serve::QueuePolicy PolicyFromFlag(const std::string& flag) {
   return flag == "fifo" ? serve::QueuePolicy::kFifo : serve::QueuePolicy::kEdf;
 }
 
-/// Prints the per-tenant rows of an EngineMetrics snapshot (skipped when
-/// the engine saw no tenant-aware traffic).
-void PrintTenantTable(const serve::EngineMetrics& metrics) {
-  if (metrics.tenants.empty()) return;
+/// --quota gives every synthetic tenant (t0..tN-1) the same bucket.
+std::vector<serve::TenantQuota> QuotasFromFlags(const CliArgs& args) {
+  std::vector<serve::TenantQuota> quotas;
+  if (args.quota <= 0) return quotas;
+  for (size_t t = 0; t < std::max<size_t>(1, args.tenants); ++t) {
+    serve::TenantQuota quota{"t", args.quota, args.quota_burst};
+    quota.tenant += std::to_string(t);
+    quotas.push_back(std::move(quota));
+  }
+  return quotas;
+}
+
+/// Submit options of open-loop request `i`: the --deadline-ms budget from
+/// now and, with --tenants N or --quota, the round-robin tenant t<i mod N>
+/// so the per-tenant ledger (and any --quota buckets) see a multi-tenant
+/// mix.
+serve::SubmitOptions OpenLoopSubmit(const CliArgs& args, size_t i) {
+  serve::SubmitOptions submit =
+      AfterMicros(SteadyNow(), static_cast<int64_t>(args.deadline_ms * 1e3));
+  if (args.tenants > 1 || args.quota > 0) {
+    submit.tenant = "t";
+    submit.tenant += std::to_string(i % std::max<size_t>(1, args.tenants));
+  }
+  return submit;
+}
+
+/// Prints the per-tenant rows of an Engine or Router metrics snapshot
+/// (skipped when the front end saw no tenant-aware traffic).
+void PrintTenantTable(const std::vector<serve::TenantCounters>& tenants) {
+  if (tenants.empty()) return;
   eval::Table table("per-tenant admission + latency");
   table.SetHeader({"tenant", "submitted", "throttled", "rejected", "completed",
                    "expired", "failed", "late", "p50_ms", "p99_ms"});
-  for (const serve::TenantCounters& tenant : metrics.tenants) {
+  for (const serve::TenantCounters& tenant : tenants) {
     table.AddRow({tenant.tenant, std::to_string(tenant.submitted),
                   std::to_string(tenant.throttled),
                   std::to_string(tenant.rejected),
@@ -509,13 +537,8 @@ int RunServeBench(const CliArgs& args) {
   // Trace replay needs the mutable delta tier: traces carry upserts and
   // deletes, which a frozen engine would refuse.
   options.live = trace.ok();
-  if (args.quota > 0) {
-    // --quota gives every synthetic tenant (t0..tN-1) the same bucket.
-    for (size_t t = 0; t < std::max<size_t>(1, args.tenants); ++t) {
-      options.quotas.push_back(
-          {"t" + std::to_string(t), args.quota, args.quota_burst});
-    }
-  } else if (trace.ok()) {
+  options.quotas = QuotasFromFlags(args);
+  if (options.quotas.empty() && trace.ok()) {
     options.quotas = load::QuotasFromTrace(trace.value());
   }
   auto engine = serve::Engine::Create(std::move(snapshot), model, options);
@@ -557,7 +580,7 @@ int RunServeBench(const CliArgs& args) {
                 static_cast<unsigned long long>(r.completed),
                 static_cast<unsigned long long>(r.expired),
                 static_cast<unsigned long long>(r.failed));
-    PrintTenantTable(engine.value()->Metrics());
+    PrintTenantTable(engine.value()->Metrics().tenants);
     if (args.dump_metrics) std::printf("\n%s", trace_prometheus.c_str());
     return 0;
   }
@@ -579,16 +602,8 @@ int RunServeBench(const CliArgs& args) {
     const SteadyTime at =
         AfterMicros(start, static_cast<int64_t>(i * 1e6 / args.qps));
     std::this_thread::sleep_until(at);
-    serve::SubmitOptions submit;
-    submit.deadline = AfterMicros(
-        SteadyNow(), static_cast<int64_t>(args.deadline_ms * 1e3));
-    // --tenants N tags submissions round-robin as t0..tN-1 so the
-    // per-tenant ledger (and any --quota buckets) see a multi-tenant mix.
-    if (args.tenants > 1 || args.quota > 0) {
-      submit.tenant = "t" + std::to_string(i % std::max<size_t>(1, args.tenants));
-    }
-    auto submitted =
-        engine.value()->Submit(queries[i % queries.size()], submit);
+    auto submitted = engine.value()->Submit(queries[i % queries.size()],
+                                            OpenLoopSubmit(args, i));
     if (submitted.ok()) futures.push_back(std::move(submitted).value());
   }
   size_t ok = 0, missed = 0;
@@ -652,7 +667,7 @@ int RunServeBench(const CliArgs& args) {
   dump("query", metrics.query_micros);
   dump("postproc", metrics.postprocess_micros);
   dump("total", metrics.total_micros);
-  PrintTenantTable(metrics);
+  PrintTenantTable(metrics.tenants);
   if (args.dump_metrics) std::printf("\n%s", prometheus.c_str());
   return 0;
 }
@@ -851,7 +866,7 @@ int RunTraceReplay(const CliArgs& args) {
                 t < trace.manifest.tenants.size()
                     ? trace.manifest.tenants[t].name.c_str()
                     : "merged");
-    PrintTenantTable(engines[t]->Metrics());
+    PrintTenantTable(engines[t]->Metrics().tenants);
   }
   return 0;
 }
@@ -1007,6 +1022,11 @@ int RunSnapshotShard(const CliArgs& args) {
 }
 
 int RunServeBenchSharded(const CliArgs& args) {
+  if (!args.trace_file.empty()) {
+    std::fprintf(stderr, "--trace-file replays through a single engine; it "
+                         "cannot be combined with --shards/--replicas\n");
+    return 1;
+  }
   const auto spec = datagen::CleanCleanSpecById(args.dataset);
   if (!spec.ok()) {
     std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
@@ -1150,6 +1170,8 @@ int RunServeBenchSharded(const CliArgs& args) {
   router_options.max_batch = args.max_batch;
   router_options.max_wait_micros = args.wait_micros;
   router_options.workers = args.workers;
+  router_options.queue_policy = PolicyFromFlag(args.policy);
+  router_options.quotas = QuotasFromFlags(args);
   auto router =
       serve::Router::Create(std::move(engines), model, router_options);
   if (!router.ok()) {
@@ -1252,10 +1274,8 @@ int RunServeBenchSharded(const CliArgs& args) {
           queries[i % queries.size()]);
       if (admitted.ok() && i >= kill_at && i < rejoin_at) ++missed_mutations;
     }
-    auto submitted = router.value()->Submit(
-        queries[i % queries.size()],
-        AfterMicros(SteadyNow(),
-                    static_cast<int64_t>(args.deadline_ms * 1e3)));
+    auto submitted = router.value()->Submit(queries[i % queries.size()],
+                                            OpenLoopSubmit(args, i));
     if (submitted.ok()) futures.push_back(std::move(submitted).value());
   }
   size_t ok = 0, partial = 0;
@@ -1306,11 +1326,12 @@ int RunServeBenchSharded(const CliArgs& args) {
       args.dataset.c_str(), args.index_kind.c_str(), args.k, args.shards,
       args.replicas, args.qps, args.duration_seconds,
       static_cast<double>(ok) / wall);
-  std::printf("accepted=%llu completed=%llu rejected=%llu expired=%llu "
-              "late=%llu batches=%llu mean_batch=%.1f\n",
+  std::printf("accepted=%llu completed=%llu rejected=%llu throttled=%llu "
+              "expired=%llu late=%llu batches=%llu mean_batch=%.1f\n",
               static_cast<unsigned long long>(metrics.submitted),
               static_cast<unsigned long long>(metrics.completed),
               static_cast<unsigned long long>(metrics.rejected),
+              static_cast<unsigned long long>(metrics.throttled),
               static_cast<unsigned long long>(metrics.expired),
               static_cast<unsigned long long>(metrics.deadline_misses),
               static_cast<unsigned long long>(metrics.batches),
@@ -1361,6 +1382,7 @@ int RunServeBenchSharded(const CliArgs& args) {
                   static_cast<unsigned long long>(h.count));
     }
   }
+  PrintTenantTable(metrics.tenants);
   if (args.dump_metrics) std::printf("\n%s", prometheus.c_str());
   return 0;
 }
