@@ -3,7 +3,7 @@
 # in both, run the fault-injection suites (fault + stream + recover
 # failpoints) and an $EMBER_FAILPOINTS env smoke under ASan, run the
 # concurrency suites under ThreadSanitizer (serve/fault/router/stream/
-# recover repeated until-fail:3), prove the -DEMBER_FAILPOINTS_ENABLED=OFF
+# recover/embed repeated until-fail:3), prove the -DEMBER_FAILPOINTS_ENABLED=OFF
 # build, then smoke-run the micro-benchmarks and the serving/resilience/
 # observability/streaming/recovery benches on the Release build
 # (stream-dedup holds an incremental-F1 floor; the recovery drill must
@@ -11,9 +11,10 @@
 # workload-harness smokes (trace-record byte-identity, trace-replay digest
 # identity, fail-closed on an armed load/trace_read, exp29), validate the
 # metrics-dump / trace-dump exporter output with a real parser, and hold
-# src/obs+src/serve+src/stream+src/recover+src/la+src/load to a >= 85%
-# line-coverage floor (Debug+gcov leg), run the la/nn/determinism suites on
-# all three kernel lane paths (-march=native, x86-64-v3, EMBER_SIMD=OFF)
+# src/obs+src/serve+src/stream+src/recover+src/la+src/load+src/embed+src/nn
+# to a >= 85% line-coverage floor (Debug+gcov leg), run the
+# la/nn/determinism/embed suites on all three kernel lane paths
+# (-march=native, x86-64-v3, EMBER_SIMD=OFF)
 # and a full-scale D4 pipeline smoke. New warnings in src/la
 # and src/nn fail the build (-Werror on those targets).
 # Usage: ci/check.sh [-j N]
@@ -42,8 +43,9 @@ run_config build-release -DCMAKE_BUILD_TYPE=Release
 run_config build-asan -DCMAKE_BUILD_TYPE=Debug -DEMBER_SANITIZE=ON -DEMBER_FAILPOINTS_ENABLED=ON
 
 # Lane-path leg: src/la picks its lane type at build time from the target
-# (AVX+FMA intrinsics, or portable float[8]). GemmBt == Dot, the nn 0-ULP
-# parity suites and the determinism sweeps must hold on every path: the
+# (AVX+FMA intrinsics, or portable float[8]). GemmBt == Dot, the multi-row
+# kernels == their per-row calls, the nn 0-ULP parity suites, the token-memo
+# warm == cold suites and the determinism sweeps must hold on every path: the
 # host target (build-release above, -march=native), the intrinsics path
 # without AVX-512 registers (-march=x86-64-v3, needs an AVX2 host), and the
 # portable path (EMBER_SIMD=OFF, baseline x86-64, contraction off).
@@ -52,11 +54,11 @@ lane_leg() {
   echo "==> configure ${dir} (EMBER_SIMD=OFF $*)"
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release -DEMBER_SIMD=OFF "$@" >/dev/null
   echo "==> build ${dir}"
-  cmake --build "${dir}" -j "${JOBS}" --target la_test nn_test determinism_test
-  (cd "${dir}" && ctest --output-on-failure -R '^(la|nn|determinism)_test$')
+  cmake --build "${dir}" -j "${JOBS}" --target la_test nn_test determinism_test embed_test
+  (cd "${dir}" && ctest --output-on-failure -R '^(la|nn|determinism|embed)_test$')
 }
 echo "==> numeric-contract suites on every lane path"
-(cd build-release && ctest --output-on-failure -R '^(la|nn|determinism)_test$')
+(cd build-release && ctest --output-on-failure -R '^(la|nn|determinism|embed)_test$')
 lane_leg build-simd-v3 -DCMAKE_CXX_FLAGS=-march=x86-64-v3
 lane_leg build-simd-off
 
@@ -94,33 +96,34 @@ EMBER_FAILPOINTS="snapshot/save=error:io" \
 # adding coverage. serve/fault/stream repeat until-fail:3 to shake out
 # schedule-dependent races in the breaker/reload/hot-swap machinery; the
 # stream suite includes compaction and reload swaps under live mutation
-# traffic.
+# traffic. embed repeats too: every pool worker shares a model's token memo.
 echo "==> configure build-tsan (EMBER_SANITIZE=tsan)"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DEMBER_SANITIZE=tsan >/dev/null
 echo "==> build build-tsan"
-cmake --build build-tsan -j "${JOBS}" --target parallel_test serve_test fault_test determinism_test obs_test router_test stream_test recover_test load_test
-echo "==> ctest build-tsan (parallel/determinism once; serve/fault/router/stream/recover/load x3)"
+cmake --build build-tsan -j "${JOBS}" --target parallel_test serve_test fault_test determinism_test obs_test router_test stream_test recover_test load_test embed_test
+echo "==> ctest build-tsan (parallel/determinism once; serve/fault/router/stream/recover/load/embed x3)"
 (cd build-tsan && ctest --output-on-failure -R '^(parallel|determinism)_test$')
-(cd build-tsan && ctest --output-on-failure --repeat until-fail:3 -R '^(serve|fault|obs|router|stream|recover|load)_test$')
+(cd build-tsan && ctest --output-on-failure --repeat until-fail:3 -R '^(serve|fault|obs|router|stream|recover|load|embed)_test$')
 
-# Coverage leg: Debug + gcov, run the obs/serve/stream/la suites, and hold
-# the line on the subsystems this repo treats as infrastructure — src/obs,
-# src/serve (including the EMBS0002 mmap loader), src/stream (delta tier,
-# tombstones, compaction) and src/la (including the quantization kernels)
-# each need >= 85% line coverage, so untested exporter, container, overlay,
-# or kernel paths fail the gate instead of rotting silently.
+# Coverage leg: Debug + gcov, run the obs/serve/stream/la/embed/nn suites,
+# and hold the line on the subsystems this repo treats as infrastructure —
+# src/obs, src/serve (including the EMBS0002 mmap loader), src/stream (delta
+# tier, tombstones, compaction), src/la (including the quantization
+# kernels), src/embed (the token memo) and src/nn (the encoder forward) each
+# need >= 85% line coverage, so untested exporter, container, overlay,
+# memo or kernel paths fail the gate instead of rotting silently.
 echo "==> configure build-cov (EMBER_COVERAGE=ON)"
 cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug -DEMBER_COVERAGE=ON >/dev/null
 echo "==> build build-cov"
-cmake --build build-cov -j "${JOBS}" --target obs_test serve_test fault_test la_test index_test router_test stream_test recover_test load_test
-echo "==> ctest build-cov (obs/serve/fault/la/index/router/stream/recover/load) + coverage floor"
+cmake --build build-cov -j "${JOBS}" --target obs_test serve_test fault_test la_test index_test router_test stream_test recover_test load_test embed_test nn_test
+echo "==> ctest build-cov (obs/serve/fault/la/index/router/stream/recover/load/embed/nn) + coverage floor"
 (cd build-cov && find . -name '*.gcda' -delete && \
-  ctest --output-on-failure -R '^(obs|serve|fault|la|index|router|stream|recover|load)_test$')
+  ctest --output-on-failure -R '^(obs|serve|fault|la|index|router|stream|recover|load|embed|nn)_test$')
 python3 - <<'PYEOF'
 import glob, re, subprocess, sys
 floor = 85.0
 failed = False
-for d in ["obs", "serve", "stream", "recover", "la", "load"]:
+for d in ["obs", "serve", "stream", "recover", "la", "load", "embed", "nn"]:
     gcda = glob.glob(f"build-cov/src/{d}/CMakeFiles/ember_{d}.dir/*.gcda")
     out = subprocess.run(["gcov", "-n"] + gcda, capture_output=True,
                          text=True).stdout
@@ -218,6 +221,10 @@ grep -q 'trace replay' /tmp/ember_tracebench.out
   > /tmp/ember_router_admission.out
 grep -q 'throttled=[1-9]' /tmp/ember_router_admission.out
 grep -q 'per-tenant admission' /tmp/ember_router_admission.out
+# The report counts only the timed workload: the 8 spot-check probes sent
+# before it must not show up as an untenanted "default" row.
+grep -q '^  default ' /tmp/ember_router_admission.out \
+  && { echo "sharded serve-bench reported its spot-check probes" >&2; exit 1; }
 # Trace replay drives a single engine only: --trace-file with --shards must
 # be refused, not silently ignored.
 ./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --shards 2 \

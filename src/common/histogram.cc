@@ -1,5 +1,6 @@
 #include "common/histogram.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace ember {
@@ -81,6 +82,17 @@ void HistogramSnapshot::Add(const HistogramSnapshot& other) {
   count += other.count;
   sum += other.sum;
   if (other.max > max) max = other.max;
+}
+
+void HistogramSnapshot::Subtract(const HistogramSnapshot& earlier) {
+  double top = 0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    counts[i] -= earlier.counts[i];
+    if (counts[i] > 0) top = LatencyHistogram::BucketUpperBound(i);
+  }
+  count -= earlier.count;
+  sum -= earlier.sum;
+  max = std::min(max, top);
 }
 
 }  // namespace ember

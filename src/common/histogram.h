@@ -25,6 +25,12 @@ struct HistogramSnapshot {
 
   /// Element-wise merge (for aggregating per-worker histograms).
   void Add(const HistogramSnapshot& other);
+
+  /// Element-wise difference from an earlier snapshot of the same
+  /// histogram: what was recorded in between. A running max cannot be
+  /// unwound, so `max` becomes the upper bound of the highest bucket still
+  /// holding a sample, capped by the running max.
+  void Subtract(const HistogramSnapshot& earlier);
 };
 
 /// Fixed-bucket concurrent histogram for non-negative values (latencies in

@@ -45,31 +45,32 @@ TokenEncoderParams StaticParams(ModelId id) {
 
 StaticEmbeddingModel::StaticEmbeddingModel(ModelId id, bool idf_weighting)
     : EmbeddingModel(GetModelInfo(id)),
-      params_(StaticParams(id)),
+      encoder_(StaticParams(id)),
       idf_weighting_(idf_weighting) {}
 
 void StaticEmbeddingModel::BuildWeights() {
   // The lexicon is hash-defined; warming a handful of vectors stands in for
   // the (fast) mmap of a real embedding table.
-  const TokenEncoder encoder(params_);
-  std::vector<float> scratch(params_.dim);
-  encoder.Encode("warmup", scratch.data());
+  std::vector<float> scratch(encoder_.params().dim);
+  encoder_.Encode("warmup", scratch.data());
 }
 
 void StaticEmbeddingModel::EncodeInto(const std::string& sentence,
                                       float* out) const {
-  const TokenEncoder encoder(params_);
-  std::vector<float> token_vec(params_.dim);
-  for (size_t d = 0; d < params_.dim; ++d) out[d] = 0.f;
+  // Per-thread token rows, fully overwritten by every call.
+  thread_local EncodedTokens tokens;
+  encoder_.EncodeTokens(text::Tokenize(sentence), &tokens);
+  const size_t dim = encoder_.params().dim;
+  for (size_t d = 0; d < dim; ++d) out[d] = 0.f;
   float total = 0.f;
-  for (const std::string& token : text::Tokenize(sentence)) {
-    if (!encoder.Encode(token, token_vec.data())) continue;
-    const float w = idf_weighting_ ? encoder.Idf(token) : 1.f;
-    la::Axpy(w, token_vec.data(), out, params_.dim);
+  for (size_t t = 0; t < tokens.covered.size(); ++t) {
+    if (!tokens.covered[t]) continue;
+    const float w = idf_weighting_ ? tokens.idf[t] : 1.f;
+    la::Axpy(w, tokens.vectors.Row(t), out, dim);
     total += w;
   }
-  if (total > 0.f) la::Scale(1.f / total, out, params_.dim);
-  la::NormalizeInPlace(out, params_.dim);
+  if (total > 0.f) la::Scale(1.f / total, out, dim);
+  la::NormalizeInPlace(out, dim);
 }
 
 }  // namespace ember::embed

@@ -11,7 +11,8 @@ namespace ember::embed {
 /// Frozen word-vector models (Word2Vec, FastText, GloVe): a sentence embeds
 /// as the (optionally idf-weighted) mean of its token vectors, normalized.
 /// FastText adds the character-n-gram component that buys robustness to
-/// misspellings; the others drop OOV tokens.
+/// misspellings; the others drop OOV tokens. One TokenEncoder per model, so
+/// every thread shares its bounded token memo.
 class StaticEmbeddingModel : public EmbeddingModel {
  public:
   /// `idf_weighting` is false for the registry models (real static
@@ -24,7 +25,7 @@ class StaticEmbeddingModel : public EmbeddingModel {
   void BuildWeights() override;
 
  private:
-  TokenEncoderParams params_;
+  TokenEncoder encoder_;
   bool idf_weighting_;
 };
 

@@ -1,7 +1,10 @@
 #include "embed/token_encoder.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 
 #include "common/rng.h"
 #include "text/tokenizer.h"
@@ -41,7 +44,17 @@ void AddHashVector(const std::string& key, uint64_t seed, float weight,
   }
 }
 
+/// Memo entries a `dim`-float vector size allows under both caps.
+size_t MemoCapacity(size_t dim) {
+  const size_t by_bytes =
+      TokenEncoder::kMemoMaxBytes / std::max<size_t>(1, dim * sizeof(float));
+  return std::min(TokenEncoder::kMemoMaxEntries, by_bytes);
+}
+
 }  // namespace
+
+TokenEncoder::TokenEncoder(const TokenEncoderParams& params)
+    : params_(params), memo_capacity_(MemoCapacity(params.dim)) {}
 
 bool TokenEncoder::Encode(const std::string& token, float* out) const {
   std::memset(out, 0, params_.dim * sizeof(float));
@@ -110,6 +123,79 @@ float TokenEncoder::Idf(const std::string& token) const {
   const uint64_t h = SplitMix64(KeyHash(canonical, kIdfSalt));
   return 0.2f + 0.8f * static_cast<float>(
                            static_cast<double>(h >> 11) * 0x1.0p-53);
+}
+
+size_t TokenEncoder::Probe(const std::string& token, uint64_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const uint32_t index = slots_[slot];
+    if (index == 0) return slot;
+    const Entry& entry = entries_[index - 1];
+    if (entry.hash == hash && entry.token == token) return slot;
+  }
+}
+
+void TokenEncoder::EncodeTokens(const std::vector<std::string>& tokens,
+                                EncodedTokens* out) const {
+  const size_t dim = params_.dim;
+  const size_t n = tokens.size();
+  out->vectors.Resize(n, dim);
+  out->idf.resize(n);
+  out->covered.resize(n);
+  out->hashes.resize(n);
+  out->misses.clear();
+  for (size_t t = 0; t < n; ++t) {
+    out->hashes[t] = HashBytes(tokens[t].data(), tokens[t].size());
+  }
+  {
+    std::shared_lock lock(mu_);
+    for (size_t t = 0; t < n; ++t) {
+      const uint32_t index =
+          slots_.empty() ? 0 : slots_[Probe(tokens[t], out->hashes[t])];
+      if (index == 0) {
+        out->misses.push_back(t);
+        continue;
+      }
+      const Entry& entry = entries_[index - 1];
+      std::memcpy(out->vectors.Row(t), vectors_.data() + (index - 1) * dim,
+                  dim * sizeof(float));
+      out->idf[t] = entry.idf;
+      out->covered[t] = entry.covered;
+    }
+  }
+  if (out->misses.empty()) return;
+
+  for (const size_t t : out->misses) {
+    out->covered[t] = Encode(tokens[t], out->vectors.Row(t));
+    out->idf[t] = Idf(tokens[t]);
+  }
+  if (memo_full_.load()) return;
+  std::unique_lock lock(mu_);
+  if (slots_.empty()) {
+    // The whole arena at once, so inserts never reallocate; vector pages
+    // are only touched as entries arrive.
+    slots_.assign(std::bit_ceil(2 * memo_capacity_), 0);
+    entries_.reserve(memo_capacity_);
+    vectors_.reserve(memo_capacity_ * dim);
+  }
+  for (const size_t t : out->misses) {
+    if (entries_.size() == memo_capacity_) {
+      memo_full_.store(true);
+      break;
+    }
+    const size_t slot = Probe(tokens[t], out->hashes[t]);
+    if (slots_[slot] != 0) continue;  // admitted meanwhile, or a repeat
+    entries_.push_back(
+        {out->hashes[t], tokens[t], out->idf[t], out->covered[t] != 0});
+    const float* row = out->vectors.Row(t);
+    vectors_.insert(vectors_.end(), row, row + dim);
+    slots_[slot] = static_cast<uint32_t>(entries_.size());
+  }
+}
+
+size_t TokenEncoder::memo_size() const {
+  std::shared_lock lock(mu_);
+  return entries_.size();
 }
 
 }  // namespace ember::embed

@@ -1,8 +1,13 @@
 #ifndef EMBER_EMBED_TOKEN_ENCODER_H_
 #define EMBER_EMBED_TOKEN_ENCODER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <shared_mutex>
 #include <string>
+#include <vector>
+
+#include "la/matrix.h"
 
 namespace ember::embed {
 
@@ -28,11 +33,36 @@ struct TokenEncoderParams {
   size_t ngram_max = 5;
 };
 
-/// Stateless deterministic token embedder shared by all embedding models.
-/// Thread-safe: Encode/Idf only read params and hash.
+/// One sentence's tokens as EncodeTokens returns them. Callers keep one
+/// per thread and reuse it: after warmup a lookup allocates nothing.
+struct EncodedTokens {
+  la::Matrix vectors;            // row t: Encode(tokens[t]) (zero if uncovered)
+  std::vector<float> idf;        // Idf(tokens[t])
+  std::vector<uint8_t> covered;  // Encode(tokens[t])'s return value
+  std::vector<uint64_t> hashes;  // scratch: memo key of each token
+  std::vector<size_t> misses;    // scratch: tokens computed outside the memo
+};
+
+/// Deterministic token embedder shared by all embedding models. Encode and
+/// Idf are pure functions of (params, token); EncodeTokens returns exactly
+/// their values through a bounded memo, so repeated tokens are copied
+/// instead of re-hashed (the char n-gram vectors dominate the cost).
+///
+/// The memo is a fixed flat arena: at most kMemoMaxEntries tokens and
+/// kMemoMaxBytes of vectors (so 300-d static models hold fewer entries
+/// than 64/80-d encoders), reserved on the first insert and never grown.
+/// Admission is first come, and nothing is ever evicted, so a hit never
+/// writes. A sentence takes one shared lock for all its lookups; misses are
+/// computed outside any lock and inserted under one exclusive lock. All
+/// methods are const and thread-safe.
 class TokenEncoder {
  public:
-  explicit TokenEncoder(const TokenEncoderParams& params) : params_(params) {}
+  static constexpr size_t kMemoMaxEntries = 4096;
+  static constexpr size_t kMemoMaxBytes = size_t{2} << 20;
+
+  explicit TokenEncoder(const TokenEncoderParams& params);
+  TokenEncoder(const TokenEncoder&) = delete;
+  TokenEncoder& operator=(const TokenEncoder&) = delete;
 
   const TokenEncoderParams& params() const { return params_; }
 
@@ -45,8 +75,40 @@ class TokenEncoder {
   /// sense; shared across encoders so pooling weights agree between models.
   float Idf(const std::string& token) const;
 
+  /// Fills `out` for `tokens`: row t of out->vectors, out->idf[t] and
+  /// out->covered[t] equal Encode(tokens[t]), Idf(tokens[t]) and Encode's
+  /// return value, bit for bit, whether they come from the memo or not.
+  void EncodeTokens(const std::vector<std::string>& tokens,
+                    EncodedTokens* out) const;
+
+  /// Tokens the memo holds now, and the most it will ever hold.
+  size_t memo_size() const;
+  size_t memo_capacity() const { return memo_capacity_; }
+
  private:
+  struct Entry {
+    uint64_t hash;
+    std::string token;
+    float idf;
+    bool covered;
+  };
+
+  /// Index into slots_ of `token`'s entry, or of the empty slot where it
+  /// would go. Requires mu_ (shared or exclusive) and a reserved table.
+  size_t Probe(const std::string& token, uint64_t hash) const;
+
   TokenEncoderParams params_;
+  size_t memo_capacity_;
+  mutable std::shared_mutex mu_;
+  // Set once an insert finds the arena full: later misses skip the
+  // exclusive lock altogether.
+  mutable std::atomic<bool> memo_full_{false};
+  // Open-addressing table of 2 x memo_capacity_ (a power of two) slots:
+  // 0 is empty, otherwise 1 + the entry's index. Entry e's vector is
+  // vectors_[e * dim, (e + 1) * dim).
+  mutable std::vector<uint32_t> slots_;
+  mutable std::vector<Entry> entries_;
+  mutable std::vector<float> vectors_;
 };
 
 }  // namespace ember::embed

@@ -14,7 +14,7 @@ namespace ember::embed {
 namespace {
 
 /// Per-thread reusable scratch for EncodeInto: the transformer workspace
-/// plus the token-embedding and pooling buffers. Thread-local storage keeps
+/// plus the token rows and pooling buffers. Thread-local storage keeps
 /// EncodeInto const and thread-safe under VectorizeAll's parallel encode
 /// (each pool worker owns one scratch), while amortizing all per-sentence
 /// heap allocations away after the first call at peak shape. Values never
@@ -23,7 +23,7 @@ namespace {
 /// assignment.
 struct EncodeScratch {
   nn::TransformerEncoder::Workspace workspace;
-  la::Matrix embeds;
+  EncodedTokens tokens;
   std::vector<float> pooled;
 };
 
@@ -61,18 +61,15 @@ void TransformerEmbeddingModel::EncodeInto(const std::string& sentence,
   if (tokens.empty()) return;
 
   EncodeScratch& scratch = LocalScratch();
-  scratch.embeds.Resize(tokens.size(), dim);
-  for (size_t t = 0; t < tokens.size(); ++t) {
-    // Subword tokenization leaves nothing OOV: when the lexicon misses a
-    // token, its n-gram/surface hash vector still fills the slot (Encode
-    // zeroes the row first, so reusing scratch memory is safe).
-    token_encoder_->Encode(tokens[t], scratch.embeds.Row(t));
-  }
+  // Subword tokenization leaves nothing OOV: when the lexicon misses a
+  // token, its n-gram/surface hash vector still fills the row. Repeated
+  // tokens come out of the encoder's memo with the same bits.
+  token_encoder_->EncodeTokens(tokens, &scratch.tokens);
   const la::Matrix* states_out = nullptr;
   {
     obs::Span forward_span("embed/transformer_forward");
     forward_span.AddCount("tokens", tokens.size());
-    states_out = &encoder_->Forward(scratch.embeds, scratch.workspace);
+    states_out = &encoder_->Forward(scratch.tokens.vectors, scratch.workspace);
   }
   const la::Matrix& states = *states_out;
 
@@ -84,7 +81,7 @@ void TransformerEmbeddingModel::EncodeInto(const std::string& sentence,
   } else {
     float total = 0.f;
     for (size_t t = 0; t < tokens.size(); ++t) {
-      const float w = token_encoder_->Idf(tokens[t]);
+      const float w = scratch.tokens.idf[t];
       la::Axpy(w, states.Row(t + 1), pooled, dim);
       total += w;
     }

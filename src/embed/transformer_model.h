@@ -34,10 +34,12 @@ class TransformerEmbeddingModel : public EmbeddingModel {
 
   TransformerEmbeddingModel(const ModelInfo& info, const Config& config);
 
-  /// Const and thread-safe: the transformer workspace and pooling buffers
-  /// live in thread-local scratch (one per pool worker under VectorizeAll),
-  /// fully overwritten each call, so repeated encodes are allocation-free
-  /// after warmup and bit-identical at any thread count.
+  /// Const and thread-safe: the transformer workspace, token rows and
+  /// pooling buffers live in thread-local scratch (one per pool worker
+  /// under VectorizeAll), fully overwritten each call, so repeated encodes
+  /// are allocation-free after warmup and bit-identical at any thread
+  /// count. Token vectors and idf weights come from the TokenEncoder memo,
+  /// shared by all threads.
   void EncodeInto(const std::string& sentence, float* out) const override;
 
  protected:

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #if defined(__FMA__)
 #include <immintrin.h>
@@ -93,6 +94,15 @@ inline Lanes MulAdd(Lanes a, Lanes b, Lanes c) {
   return {_mm256_fmadd_ps(a.v, b.v, c.v)};
 }
 inline Lanes Sub(Lanes a, Lanes b) { return {_mm256_sub_ps(a.v, b.v)}; }
+inline Lanes Add(Lanes a, Lanes b) { return {_mm256_add_ps(a.v, b.v)}; }
+/// a * b rounded on its own. The empty asm makes the product opaque, so
+/// -ffp-contract=fast cannot fuse it into a following Add: kernels that
+/// need a separately rounded multiply (layer norm) get one in source.
+inline Lanes Mul(Lanes a, Lanes b) {
+  __m256 p = _mm256_mul_ps(a.v, b.v);
+  asm("" : "+x"(p));
+  return {p};
+}
 
 /// Folds the lanes as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)).
 inline float Sum(Lanes x) {
@@ -147,6 +157,15 @@ inline Lanes MulAdd(Lanes a, Lanes b, Lanes c) {
 }
 inline Lanes Sub(Lanes a, Lanes b) {
   for (size_t l = 0; l < kDotLanes; ++l) a.v[l] -= b.v[l];
+  return a;
+}
+inline Lanes Add(Lanes a, Lanes b) {
+  for (size_t l = 0; l < kDotLanes; ++l) a.v[l] += b.v[l];
+  return a;
+}
+/// Separately rounded: the portable path builds with contraction off.
+inline Lanes Mul(Lanes a, Lanes b) {
+  for (size_t l = 0; l < kDotLanes; ++l) a.v[l] *= b.v[l];
   return a;
 }
 
@@ -208,6 +227,178 @@ constexpr size_t kNr = 4;
 /// Row-edge width: leftover rows (and single-query scans) take 8 columns per
 /// pass, so every b row loaded feeds one accumulator chain.
 constexpr size_t kEdgeNr = 8;
+
+/// Lanes [0, width) of p for width in [1, kDotLanes]: a plain load or store
+/// when the vector is full, the masked tail form otherwise.
+inline Lanes LoadUpTo(const float* p, size_t width) {
+  return width == kDotLanes ? Load(p) : LoadTail(p, width);
+}
+inline void StoreUpTo(float* p, size_t width, Lanes x) {
+  if (width == kDotLanes) {
+    Store(p, x);
+  } else {
+    StoreTail(p, width, x);
+  }
+}
+
+/// Runs fn(integral_constant<Block>, r) over row blocks of [begin, rows):
+/// as many Block-row blocks as fit, then at most one block each of Block/2,
+/// Block/4, ..., 1 rows. The multi-row kernels below are templates over the
+/// block height, so a single row is simply their 1-row instance.
+template <size_t Block, typename Fn>
+void ForRowBlocks(size_t begin, size_t rows, Fn&& fn) {
+  for (; begin + Block <= rows; begin += Block) {
+    fn(std::integral_constant<size_t, Block>{}, begin);
+  }
+  if constexpr (Block > 1) ForRowBlocks<Block / 2>(begin, rows, fn);
+}
+
+/// Columns per WeightedSumRows register block: 4 rows x 3 lane vectors of
+/// accumulators, the 3 shared row vectors and a broadcast fit 16 registers.
+constexpr size_t kSumVecs = 3;
+
+/// out_r[j] = sum_i w_r[i] * rows[i * stride + j] for Rows output rows and
+/// the Vecs lane vectors of one column block (the last `last` wide): each
+/// loaded `rows` vector feeds Rows independent MulAdd chains, and every
+/// chain runs i = 0..m-1 in order, exactly the zero-then-Axpy loop.
+template <size_t Rows, size_t Vecs>
+inline void WeightedSumKernel(const float* w, size_t ldw, const float* rows,
+                              size_t m, size_t stride, size_t last,
+                              float* out, size_t ldo) {
+  Lanes acc[Rows][Vecs];
+  for (size_t r = 0; r < Rows; ++r) {
+    for (size_t c = 0; c < Vecs; ++c) acc[r][c] = Zero();
+  }
+  for (size_t i = 0; i < m; ++i) {
+    const float* row = rows + i * stride;
+    Lanes v[Vecs];
+    for (size_t c = 0; c + 1 < Vecs; ++c) v[c] = Load(row + c * kDotLanes);
+    v[Vecs - 1] = LoadUpTo(row + (Vecs - 1) * kDotLanes, last);
+    for (size_t r = 0; r < Rows; ++r) {
+      const Lanes wi = Broadcast(w[r * ldw + i]);
+      for (size_t c = 0; c < Vecs; ++c) {
+        acc[r][c] = MulAdd(wi, v[c], acc[r][c]);
+      }
+    }
+  }
+  for (size_t r = 0; r < Rows; ++r) {
+    float* o = out + r * ldo;
+    for (size_t c = 0; c + 1 < Vecs; ++c) Store(o + c * kDotLanes, acc[r][c]);
+    StoreUpTo(o + (Vecs - 1) * kDotLanes, last, acc[r][Vecs - 1]);
+  }
+}
+
+template <size_t Rows>
+void WeightedSumBlock(const float* w, size_t ldw, const float* rows,
+                      size_t m, size_t stride, size_t n, float* out,
+                      size_t ldo) {
+  for (size_t j = 0; j < n; j += kSumVecs * kDotLanes) {
+    const size_t width = std::min(kSumVecs * kDotLanes, n - j);
+    const size_t vecs = (width + kDotLanes - 1) / kDotLanes;
+    const size_t last = width - (vecs - 1) * kDotLanes;
+    switch (vecs) {
+      case 1:
+        WeightedSumKernel<Rows, 1>(w, ldw, rows + j, m, stride, last, out + j,
+                                   ldo);
+        break;
+      case 2:
+        WeightedSumKernel<Rows, 2>(w, ldw, rows + j, m, stride, last, out + j,
+                                   ldo);
+        break;
+      default:
+        WeightedSumKernel<Rows, kSumVecs>(w, ldw, rows + j, m, stride, last,
+                                          out + j, ldo);
+        break;
+    }
+  }
+}
+
+/// Scale + softmax of Rows rows at once (row r at x + r * ld). The running
+/// max is a serial compare chain per row; interleaving Rows chains lets
+/// them overlap. Every row keeps the 1-row op sequence: scale each element,
+/// max over ascending i, FastExp(x - max), the fixed kDotLanes sum fold,
+/// then one scale by 1 / sum.
+template <size_t Rows>
+void SoftmaxBlock(float* x, size_t ld, size_t n, float scale) {
+  float max[Rows];
+  for (size_t r = 0; r < Rows; ++r) {
+    float& first = x[r * ld];
+    first *= scale;
+    max[r] = first;
+  }
+  for (size_t i = 1; i < n; ++i) {
+    for (size_t r = 0; r < Rows; ++r) {
+      float& v = x[r * ld + i];
+      v *= scale;
+      max[r] = std::max(max[r], v);
+    }
+  }
+  for (size_t r = 0; r < Rows; ++r) {
+    float* row = x + r * ld;
+    // Exponentiation pass kept free of the sum dependency so it vectorizes;
+    // the sum then uses the fixed kDotLanes fold shared by Dot.
+    for (size_t i = 0; i < n; ++i) row[i] = FastExp(row[i] - max[r]);
+    float acc[kDotLanes] = {};
+    size_t i = 0;
+    for (; i + kDotLanes <= n; i += kDotLanes) {
+      for (size_t l = 0; l < kDotLanes; ++l) acc[l] += row[i + l];
+    }
+    for (; i < n; ++i) acc[i % kDotLanes] += row[i];
+    const float sum = Sum(Load(acc));
+    if (sum > 0.f) Scale(1.f / sum, row, n);
+  }
+}
+
+/// Layer norm of Rows rows at once (row r reads src + r * lds, writes
+/// dst + r * ldd; src == dst is fine). The mean and variance sums are
+/// serial add chains in ascending column order; Rows independent chains
+/// overlap instead of waiting on each other. The squared deviations are
+/// computed with an unfused Mul into a column-chunk buffer before being
+/// summed, and the output is ((x - mean) * inv) * gain + bias with each
+/// step rounded on its own, so every row is the 1-row instance bit for bit.
+template <size_t Rows>
+void LayerNormBlock(const float* src, size_t lds, float* dst, size_t ldd,
+                    size_t n, const float* gain, const float* bias) {
+  float mean[Rows] = {};
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t r = 0; r < Rows; ++r) mean[r] += src[r * lds + i];
+  }
+  for (size_t r = 0; r < Rows; ++r) mean[r] /= static_cast<float>(n);
+
+  constexpr size_t kChunk = 64;
+  float squares[Rows][kChunk];
+  float var[Rows] = {};
+  for (size_t i0 = 0; i0 < n; i0 += kChunk) {
+    const size_t len = std::min(kChunk, n - i0);
+    for (size_t r = 0; r < Rows; ++r) {
+      const float* x = src + r * lds + i0;
+      const Lanes mr = Broadcast(mean[r]);
+      for (size_t i = 0; i < len; i += kDotLanes) {
+        const size_t width = std::min(kDotLanes, len - i);
+        const Lanes d = Sub(LoadUpTo(x + i, width), mr);
+        StoreUpTo(squares[r] + i, width, Mul(d, d));
+      }
+    }
+    for (size_t i = 0; i < len; ++i) {
+      for (size_t r = 0; r < Rows; ++r) var[r] += squares[r][i];
+    }
+  }
+
+  for (size_t r = 0; r < Rows; ++r) {
+    const float inv = 1.f / std::sqrt(var[r] / static_cast<float>(n) + 1e-5f);
+    const Lanes mr = Broadcast(mean[r]);
+    const Lanes vinv = Broadcast(inv);
+    const float* x = src + r * lds;
+    float* y = dst + r * ldd;
+    for (size_t i = 0; i < n; i += kDotLanes) {
+      const size_t width = std::min(kDotLanes, n - i);
+      Lanes v = Mul(Sub(LoadUpTo(x + i, width), mr), vinv);
+      if (gain != nullptr) v = Mul(v, LoadUpTo(gain + i, width));
+      if (bias != nullptr) v = Add(v, LoadUpTo(bias + i, width));
+      StoreUpTo(y + i, width, v);
+    }
+  }
+}
 
 }  // namespace
 
@@ -309,32 +500,16 @@ void GemmBtStrided(const float* a, size_t m, size_t lda, const float* b,
 
 void WeightedSumRows(const float* w, const float* rows, size_t m,
                      size_t stride, size_t n, float* out) {
-  // Column blocks of kBlock lane vectors kept in registers across the whole
-  // i sweep; every element is the MulAdd chain i = 0..m-1, exactly the
-  // zero-then-Axpy-per-row loop.
-  constexpr size_t kBlock = 4;
-  size_t j = 0;
-  for (; j + kBlock * kDotLanes <= n; j += kBlock * kDotLanes) {
-    Lanes acc[kBlock];
-    for (size_t v = 0; v < kBlock; ++v) acc[v] = Zero();
-    for (size_t i = 0; i < m; ++i) {
-      const Lanes wi = Broadcast(w[i]);
-      const float* row = rows + i * stride + j;
-      for (size_t v = 0; v < kBlock; ++v) {
-        acc[v] = MulAdd(wi, Load(row + v * kDotLanes), acc[v]);
-      }
-    }
-    for (size_t v = 0; v < kBlock; ++v) Store(out + j + v * kDotLanes, acc[v]);
-  }
-  for (; j < n; j += kDotLanes) {
-    const size_t width = std::min(kDotLanes, n - j);
-    Lanes acc = Zero();
-    for (size_t i = 0; i < m; ++i) {
-      acc = MulAdd(Broadcast(w[i]), LoadTail(rows + i * stride + j, width),
-                   acc);
-    }
-    StoreTail(out + j, width, acc);
-  }
+  WeightedSumRowsMulti(w, m, 1, rows, m, stride, n, out, n);
+}
+
+void WeightedSumRowsMulti(const float* w, size_t ldw, size_t count,
+                          const float* rows, size_t m, size_t stride,
+                          size_t n, float* out, size_t ldo) {
+  ForRowBlocks<4>(0, count, [&](auto block, size_t r) {
+    WeightedSumBlock<decltype(block)::value>(w + r * ldw, ldw, rows, m,
+                                             stride, n, out + r * ldo, ldo);
+  });
 }
 
 void Gemv(const Matrix& m, const float* x, float* out) {
@@ -344,21 +519,13 @@ void Gemv(const Matrix& m, const float* x, float* out) {
                 m.rows());
 }
 
-void SoftmaxInPlace(float* x, size_t n) {
+void SoftmaxInPlace(float* x, size_t n) { SoftmaxRows(x, 1, n, n, 1.f); }
+
+void SoftmaxRows(float* x, size_t rows, size_t ld, size_t n, float scale) {
   if (n == 0) return;
-  float max = x[0];
-  for (size_t i = 1; i < n; ++i) max = std::max(max, x[i]);
-  // Exponentiation pass kept free of the sum dependency so it vectorizes;
-  // the sum then uses the fixed kDotLanes fold shared by Dot.
-  for (size_t i = 0; i < n; ++i) x[i] = FastExp(x[i] - max);
-  float acc[kDotLanes] = {};
-  size_t i = 0;
-  for (; i + kDotLanes <= n; i += kDotLanes) {
-    for (size_t l = 0; l < kDotLanes; ++l) acc[l] += x[i + l];
-  }
-  for (; i < n; ++i) acc[i % kDotLanes] += x[i];
-  const float sum = Sum(Load(acc));
-  if (sum > 0.f) Scale(1.f / sum, x, n);
+  ForRowBlocks<8>(0, rows, [&](auto block, size_t r) {
+    SoftmaxBlock<decltype(block)::value>(x + r * ld, ld, n, scale);
+  });
 }
 
 void GeluTanhInPlace(float* x, size_t n) {
@@ -375,22 +542,17 @@ void GeluTanhInPlace(float* x, size_t n) {
 
 void LayerNormInPlace(float* x, size_t n, const float* gain,
                       const float* bias) {
+  LayerNormRows(x, n, x, n, 1, n, gain, bias);
+}
+
+void LayerNormRows(const float* src, size_t lds, float* dst, size_t ldd,
+                   size_t rows, size_t n, const float* gain,
+                   const float* bias) {
   if (n == 0) return;
-  float mean = 0.f;
-  for (size_t i = 0; i < n; ++i) mean += x[i];
-  mean /= static_cast<float>(n);
-  float var = 0.f;
-  for (size_t i = 0; i < n; ++i) {
-    const float d = x[i] - mean;
-    var += d * d;
-  }
-  var /= static_cast<float>(n);
-  const float inv = 1.f / std::sqrt(var + 1e-5f);
-  for (size_t i = 0; i < n; ++i) {
-    x[i] = (x[i] - mean) * inv;
-    if (gain != nullptr) x[i] *= gain[i];
-    if (bias != nullptr) x[i] += bias[i];
-  }
+  ForRowBlocks<8>(0, rows, [&](auto block, size_t r) {
+    LayerNormBlock<decltype(block)::value>(src + r * lds, lds,
+                                           dst + r * ldd, ldd, n, gain, bias);
+  });
 }
 
 }  // namespace ember::la

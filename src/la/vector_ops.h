@@ -66,12 +66,29 @@ void GemmBtStrided(const float* a, size_t m, size_t lda, const float* b,
 void WeightedSumRows(const float* w, const float* rows, size_t m,
                      size_t stride, size_t n, float* out);
 
+/// WeightedSumRows for `count` weight rows at once: out + r * ldo receives
+/// WeightedSumRows(w + r * ldw, rows, m, stride, n) for r in [0, count).
+/// Rows go four at a time, so each loaded `rows` vector feeds four
+/// accumulator chains (attention's P·V over every query row). Each output
+/// element keeps its ascending-i MulAdd chain, so the result equals the
+/// per-row calls bit for bit; WeightedSumRows is the count = 1 instance.
+void WeightedSumRowsMulti(const float* w, size_t ldw, size_t count,
+                          const float* rows, size_t m, size_t stride,
+                          size_t n, float* out, size_t ldo);
+
 /// out[i] = Dot(m.Row(i), x) for every row of m: GemmBtStrided with x as
 /// the single a row.
 void Gemv(const Matrix& m, const float* x, float* out);
 
-/// In-place softmax over x[0..n).
+/// In-place softmax over x[0..n): SoftmaxRows' 1-row instance at scale 1.
 void SoftmaxInPlace(float* x, size_t n);
+
+/// Scaled in-place softmax of `rows` rows, row r at x + r * ld: every
+/// element is multiplied by `scale`, then the row is softmaxed. Rows go up
+/// to eight at a time so their serial max chains overlap; each row keeps
+/// the op sequence of a lone row, so the result equals `x *= scale` then
+/// SoftmaxInPlace per row, bit for bit.
+void SoftmaxRows(float* x, size_t rows, size_t ld, size_t n, float scale);
 
 /// In-place tanh-approximation GELU: x = 0.5 x (1 + tanh(sqrt(2/pi) (x +
 /// 0.044715 x^3))). The tanh goes through the same branch-free exp core as
@@ -79,8 +96,20 @@ void SoftmaxInPlace(float* x, size_t n);
 /// formulation is below 1e-6, far inside the regime the encoder cares about.
 void GeluTanhInPlace(float* x, size_t n);
 
-/// In-place layer norm (mean 0, variance 1, then gain/bias) over x[0..n).
+/// In-place layer norm (mean 0, variance 1, then gain/bias) over x[0..n):
+/// LayerNormRows' 1-row instance. The mean and variance are ascending-order
+/// sums, the squares and every output step are rounded on their own
+/// (never fused, whatever the FP-contraction flags), and gain/bias may be
+/// null.
 void LayerNormInPlace(float* x, size_t n, const float* gain, const float* bias);
+
+/// Layer norm of `rows` rows: row r of src (at src + r * lds) is normalized
+/// into dst + r * ldd; src == dst (with lds == ldd) works in place. Rows go
+/// up to eight at a time so their serial sum chains overlap, and each row
+/// equals LayerNormInPlace on a copy of it, bit for bit.
+void LayerNormRows(const float* src, size_t lds, float* dst, size_t ldd,
+                   size_t rows, size_t n, const float* gain,
+                   const float* bias);
 
 }  // namespace ember::la
 

@@ -90,13 +90,10 @@ const la::Matrix& TransformerEncoder::Forward(const la::Matrix& tokens,
 
   for (const Layer& layer : layers_) {
     // --- Attention block (pre-LN residual) ---
-    for (size_t t = 0; t < seq; ++t) {
-      float* row = ws.normed.Row(t);
-      const float* src = x.Row(t);
-      for (size_t c = 0; c < dim; ++c) row[c] = src[c];
-      la::LayerNormInPlace(row, dim, layer.ln1_gain.data(),
-                           layer.ln1_bias.data());
-    }
+    // Multi-row kernels: each row gets exactly the per-row op sequence
+    // (la::LayerNormRows == LayerNormInPlace per row, and likewise below).
+    la::LayerNormRows(x.data(), dim, ws.normed.data(), dim, seq, dim,
+                      layer.ln1_gain.data(), layer.ln1_bias.data());
     // Sequence-level projections: row t of each product is exactly the
     // Gemv(w, normed.Row(t)) of the per-token formulation, bit for bit.
     la::GemmBtInto(ws.normed, layer.wq, &ws.q);
@@ -110,40 +107,28 @@ const la::Matrix& TransformerEncoder::Forward(const la::Matrix& tokens,
       // order of the scalar path.
       la::GemmBtStrided(ws.q.data() + off, seq, dim, ws.k.data() + off, seq,
                         dim, head_dim, ws.scores.data(), seq);
-      for (size_t t = 0; t < seq; ++t) {
-        float* scores = ws.scores.Row(t);
-        for (size_t u = 0; u < seq; ++u) scores[u] *= inv_sqrt;
-        la::SoftmaxInPlace(scores, seq);
-        // The softmax-weighted V aggregation keeps the sequential
-        // ascending-u accumulation order (WeightedSumRows holds that chain
-        // in registers), so outputs remain exactly reproducible.
-        la::WeightedSumRows(scores, ws.v.data() + off, seq, dim, head_dim,
-                            ws.attended.Row(t) + off);
-      }
+      la::SoftmaxRows(ws.scores.data(), seq, seq, seq, inv_sqrt);
+      // The softmax-weighted V aggregation keeps the sequential
+      // ascending-u accumulation order per output element (the chains
+      // live in registers), so outputs remain exactly reproducible.
+      la::WeightedSumRowsMulti(ws.scores.data(), seq, seq, ws.v.data() + off,
+                               seq, dim, head_dim, ws.attended.data() + off,
+                               dim);
     }
     la::GemmBtInto(ws.attended, layer.wo, &ws.normed);  // reuse as scratch
-    for (size_t t = 0; t < seq; ++t) {
-      la::Axpy(1.f, ws.normed.Row(t), x.Row(t), dim);
-    }
+    // Rows are contiguous, so each residual add runs as one flat Axpy.
+    la::Axpy(1.f, ws.normed.data(), x.data(), seq * dim);
     // --- FFN block (pre-LN residual, GELU-ish tanh activation) ---
-    for (size_t t = 0; t < seq; ++t) {
-      float* row = ws.normed.Row(t);
-      const float* src = x.Row(t);
-      for (size_t c = 0; c < dim; ++c) row[c] = src[c];
-      la::LayerNormInPlace(row, dim, layer.ln2_gain.data(),
-                           layer.ln2_bias.data());
-    }
+    la::LayerNormRows(x.data(), dim, ws.normed.data(), dim, seq, dim,
+                      layer.ln2_gain.data(), layer.ln2_bias.data());
     la::GemmBtInto(ws.normed, layer.ffn1, &ws.hidden);
     // Rows are contiguous, so the activation runs as one flat vector pass.
     la::GeluTanhInPlace(ws.hidden.data(), seq * config_.ffn_dim);
     la::GemmBtInto(ws.hidden, layer.ffn2, &ws.normed);
-    for (size_t t = 0; t < seq; ++t) {
-      la::Axpy(1.f, ws.normed.Row(t), x.Row(t), dim);
-    }
+    la::Axpy(1.f, ws.normed.data(), x.data(), seq * dim);
   }
-  for (size_t t = 0; t < seq; ++t) {
-    la::LayerNormInPlace(x.Row(t), dim, final_gain_.data(), final_bias_.data());
-  }
+  la::LayerNormRows(x.data(), dim, x.data(), dim, seq, dim,
+                    final_gain_.data(), final_bias_.data());
   return x;
 }
 

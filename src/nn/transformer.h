@@ -34,10 +34,13 @@ struct TransformerConfig {
 ///
 /// Forward is GEMM-based: Q/K/V, the output projection, and both FFN
 /// projections run as whole-sequence la::GemmBt panels, and per-head
-/// attention scores as one strided QK^T panel per head. Because every GEMM
-/// entry is accumulated in exactly the la::Dot lane order, the output is
-/// bit-identical to the naive one-Gemv-per-token formulation
-/// (tests/nn_test.cc keeps that reference and proves 0-ULP parity).
+/// attention scores as one strided QK^T panel per head. Layer norms,
+/// softmaxes and the P·V sums run through the multi-row la kernels
+/// (LayerNormRows, SoftmaxRows, WeightedSumRowsMulti), which give every row
+/// its lone-row op sequence. Because every GEMM entry is accumulated in
+/// exactly the la::Dot lane order, the output is bit-identical to the naive
+/// one-Gemv-per-token formulation (tests/nn_test.cc keeps that reference
+/// and proves 0-ULP parity).
 class TransformerEncoder {
  public:
   /// Reusable scratch for Forward. All per-call temporaries live here, so a

@@ -4,6 +4,8 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -498,6 +500,138 @@ TEST(VectorOpsTest, GemvMatchesManual) {
   Gemv(m, x, out);
   EXPECT_FLOAT_EQ(out[0], 6.f);
   EXPECT_FLOAT_EQ(out[1], 0.f);
+}
+
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+}
+
+TEST(VectorOpsTest, MultiRowKernelsMatchPerRowCallsProperty) {
+  // WeightedSumRowsMulti, SoftmaxRows and LayerNormRows over random row
+  // counts, widths (attention's head_dim 16/20/24 and every lane tail) and
+  // padded strides must equal their per-row calls bit for bit, and must
+  // leave the padding between output rows untouched.
+  proptest::Config config;
+  config.cases = 80;
+  config.max_size = 96;
+  proptest::ForAll(
+      "multi-row kernels == per-row calls", config,
+      [](Rng& rng, size_t size) {
+        constexpr float kSentinel = -777.f;
+        const size_t kHeadDims[] = {16, 20, 24};
+        const size_t n = rng.Next() % 2 == 0 ? kHeadDims[rng.Next() % 3]
+                                             : 1 + rng.Next() % size;
+        const size_t rows = 1 + rng.Next() % 19;
+        const size_t m = 1 + rng.Next() % 40;
+
+        // P·V: `rows` weight rows over m value rows of n columns; the
+        // per-row call and the zero-then-Axpy chain are both references.
+        const size_t ldw = m + rng.Next() % 5;
+        const size_t stride = n + rng.Next() % 7;
+        const size_t ldo = n + rng.Next() % 6;
+        std::vector<float> w(rows * ldw), values(m * stride);
+        FillGaussian(w.data(), w.size(), rng);
+        FillGaussian(values.data(), values.size(), rng);
+        std::vector<float> out(rows * ldo, kSentinel);
+        WeightedSumRowsMulti(w.data(), ldw, rows, values.data(), m, stride, n,
+                             out.data(), ldo);
+        std::vector<float> one(n), chain(n);
+        for (size_t r = 0; r < rows; ++r) {
+          WeightedSumRows(w.data() + r * ldw, values.data(), m, stride, n,
+                          one.data());
+          std::fill(chain.begin(), chain.end(), 0.f);
+          for (size_t i = 0; i < m; ++i) {
+            Axpy(w[r * ldw + i], values.data() + i * stride, chain.data(), n);
+          }
+          for (size_t j = 0; j < ldo; ++j) {
+            const float got = out[r * ldo + j];
+            if (j >= n ? got != kSentinel
+                       : !SameBits(got, one[j]) || !SameBits(got, chain[j])) {
+              return false;
+            }
+          }
+        }
+
+        // Scaled softmax over padded rows.
+        const size_t ld = n + rng.Next() % 6;
+        std::vector<float> x(rows * ld, kSentinel);
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t j = 0; j < n; ++j) {
+            x[r * ld + j] = 3.f * static_cast<float>(rng.Gaussian());
+          }
+        }
+        std::vector<float> expected = x;
+        const float scale = 0.05f + static_cast<float>(rng.Uniform());
+        SoftmaxRows(x.data(), rows, ld, n, scale);
+        for (size_t r = 0; r < rows; ++r) {
+          float* row = expected.data() + r * ld;
+          for (size_t j = 0; j < n; ++j) row[j] *= scale;
+          SoftmaxInPlace(row, n);
+        }
+        for (size_t i = 0; i < x.size(); ++i) {
+          if (!SameBits(x[i], expected[i])) return false;
+        }
+
+        // Layer norm, out of place and in place, with and without gain/bias.
+        const size_t lds = n + rng.Next() % 6;
+        const size_t ldd = n + rng.Next() % 6;
+        std::vector<float> src(rows * lds), gain(n), bias(n);
+        FillGaussian(src.data(), src.size(), rng);
+        FillGaussian(gain.data(), n, rng);
+        FillGaussian(bias.data(), n, rng);
+        const bool affine = rng.Next() % 2 == 0;
+        const float* g = affine ? gain.data() : nullptr;
+        const float* b = affine ? bias.data() : nullptr;
+        std::vector<float> dst(rows * ldd, kSentinel);
+        LayerNormRows(src.data(), lds, dst.data(), ldd, rows, n, g, b);
+        std::vector<float> in_place = src;
+        LayerNormRows(in_place.data(), lds, in_place.data(), lds, rows, n, g,
+                      b);
+        for (size_t r = 0; r < rows; ++r) {
+          std::vector<float> row(src.begin() + r * lds,
+                                 src.begin() + r * lds + n);
+          LayerNormInPlace(row.data(), n, g, b);
+          for (size_t j = 0; j < ldd; ++j) {
+            const float got = dst[r * ldd + j];
+            if (j >= n ? got != kSentinel : !SameBits(got, row[j])) {
+              return false;
+            }
+          }
+          for (size_t j = 0; j < n; ++j) {
+            if (!SameBits(in_place[r * lds + j], row[j])) return false;
+          }
+        }
+        return true;
+      });
+}
+
+TEST(VectorOpsTest, MultiRowKernelsNeverTouchMemoryPastTheirOperands) {
+  // Every operand of the multi-row kernels ends flush against an unmapped
+  // page, at widths covering full lane vectors, every tail and the
+  // attention head widths; an access one element too far is a SIGSEGV.
+  Rng rng(0x6b5e);
+  for (const size_t n : {1ul, 7ul, 8ul, 9ul, 16ul, 20ul, 24ul, 25ul, 80ul}) {
+    for (size_t rows = 1; rows <= 17; ++rows) {
+      const size_t m = rows + 3;
+      GuardedBuffer<float> w(rows * m), values(m * n), out(rows * n);
+      FillGaussian(w.data(), rows * m, rng);
+      FillGaussian(values.data(), m * n, rng);
+      WeightedSumRowsMulti(w.data(), m, rows, values.data(), m, n, n,
+                           out.data(), n);
+
+      GuardedBuffer<float> x(rows * n);
+      FillGaussian(x.data(), rows * n, rng);
+      SoftmaxRows(x.data(), rows, n, n, 0.5f);
+
+      GuardedBuffer<float> src(rows * n), dst(rows * n), gain(n), bias(n);
+      FillGaussian(src.data(), rows * n, rng);
+      FillGaussian(gain.data(), n, rng);
+      FillGaussian(bias.data(), n, rng);
+      LayerNormRows(src.data(), n, dst.data(), n, rows, n, gain.data(),
+                    bias.data());
+      LayerNormRows(dst.data(), n, dst.data(), n, rows, n, nullptr, nullptr);
+    }
+  }
 }
 
 }  // namespace

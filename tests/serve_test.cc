@@ -724,6 +724,27 @@ TEST(HistogramTest, PercentilesWithinBucketResolution) {
   EXPECT_LE(snap.Percentile(1.0), snap.max + 1e-9);
 }
 
+TEST(HistogramTest, SubtractLeavesWhatWasRecordedInBetween) {
+  LatencyHistogram histogram;
+  for (const double v : {9000.0, 14000.0}) histogram.Record(v);
+  const HistogramSnapshot before = histogram.Snapshot();
+  for (const double v : {1900.0, 2010.0, 2080.0}) histogram.Record(v);
+  HistogramSnapshot delta = histogram.Snapshot();
+  delta.Subtract(before);
+  LatencyHistogram expected;
+  for (const double v : {1900.0, 2010.0, 2080.0}) expected.Record(v);
+  const HistogramSnapshot want = expected.Snapshot();
+  EXPECT_EQ(delta.counts, want.counts);
+  EXPECT_EQ(delta.count, 3u);
+  EXPECT_DOUBLE_EQ(delta.sum, want.sum);
+  // The earlier 14000 cannot bound the delta: max drops to the top
+  // non-empty bucket's upper bound, at or above every sample left.
+  EXPECT_GE(delta.max, 2080.0);
+  EXPECT_LE(delta.max, LatencyHistogram::BucketUpperBound(
+                           LatencyHistogram::BucketOf(2080.0)));
+  EXPECT_LE(delta.Percentile(0.99), delta.max);
+}
+
 TEST(HistogramTest, EdgeValuesClampIntoRange) {
   LatencyHistogram histogram;
   histogram.Record(0);

@@ -416,6 +416,64 @@ serve::SubmitOptions OpenLoopSubmit(const CliArgs& args, size_t i) {
   return submit;
 }
 
+/// What `now` recorded after `before`: every counter, histogram and tenant
+/// row serve-bench prints. Tenants idle in between drop out.
+serve::RouterMetrics MetricsSince(const serve::RouterMetrics& before,
+                                  serve::RouterMetrics now) {
+  for (auto [field, old] : {
+           std::pair{&now.submitted, before.submitted},
+           {&now.completed, before.completed},
+           {&now.rejected, before.rejected},
+           {&now.throttled, before.throttled},
+           {&now.expired, before.expired},
+           {&now.failed, before.failed},
+           {&now.deadline_misses, before.deadline_misses},
+           {&now.batches, before.batches},
+           {&now.retries, before.retries},
+           {&now.partial, before.partial},
+           {&now.shards_degraded, before.shards_degraded},
+           {&now.sibling_retries, before.sibling_retries},
+           {&now.quarantines, before.quarantines},
+           {&now.catchups, before.catchups},
+           {&now.resyncs, before.resyncs},
+           {&now.replayed_mutations, before.replayed_mutations},
+           {&now.digest_mismatches, before.digest_mismatches},
+       }) {
+    *field -= old;
+  }
+  now.queue_micros.Subtract(before.queue_micros);
+  now.total_micros.Subtract(before.total_micros);
+  now.batch_size.Subtract(before.batch_size);
+  now.embed_micros.Subtract(before.embed_micros);
+  now.fanout_micros.Subtract(before.fanout_micros);
+  now.gather_micros.Subtract(before.gather_micros);
+  now.merge_micros.Subtract(before.merge_micros);
+  for (size_t s = 0; s < before.shard_micros.size(); ++s) {
+    for (size_t r = 0; r < before.shard_micros[s].size(); ++r) {
+      now.shard_micros[s][r].Subtract(before.shard_micros[s][r]);
+    }
+  }
+  std::vector<serve::TenantCounters> tenants;
+  for (serve::TenantCounters& tenant : now.tenants) {
+    for (const serve::TenantCounters& old : before.tenants) {
+      if (old.tenant != tenant.tenant) continue;
+      tenant.submitted -= old.submitted;
+      tenant.completed -= old.completed;
+      tenant.expired -= old.expired;
+      tenant.failed -= old.failed;
+      tenant.throttled -= old.throttled;
+      tenant.rejected -= old.rejected;
+      tenant.deadline_misses -= old.deadline_misses;
+      tenant.total_micros.Subtract(old.total_micros);
+    }
+    if (tenant.submitted + tenant.throttled + tenant.rejected > 0) {
+      tenants.push_back(std::move(tenant));
+    }
+  }
+  now.tenants = std::move(tenants);
+  return now;
+}
+
 /// Prints the per-tenant rows of an Engine or Router metrics snapshot
 /// (skipped when the front end saw no tenant-aware traffic).
 void PrintTenantTable(const std::vector<serve::TenantCounters>& tenants) {
@@ -1229,6 +1287,15 @@ int RunServeBenchSharded(const CliArgs& args) {
                   probe);
     }
   }
+  // The report counts only the timed workload below, not the probes. A
+  // batch's merge time is recorded just after its replies are sent, so wait
+  // (briefly) until every probe batch has recorded it.
+  serve::RouterMetrics before_workload = router.value()->Metrics();
+  for (int spin = 0; spin < 1000; ++spin) {
+    if (before_workload.merge_micros.count >= before_workload.batches) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    before_workload = router.value()->Metrics();
+  }
 
   if (!args.trace_path.empty()) {
     obs::Tracer::Global().Clear();
@@ -1305,7 +1372,8 @@ int RunServeBenchSharded(const CliArgs& args) {
     prometheus = obs::Registry::Global().ToPrometheusText();
   }
   router.value()->Stop();
-  const serve::RouterMetrics metrics = router.value()->Metrics();
+  const serve::RouterMetrics metrics =
+      MetricsSince(before_workload, router.value()->Metrics());
 
   if (!args.trace_path.empty()) {
     obs::Tracer::Global().SetEnabled(false);
