@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
           vec_left >= 0 && vec_right >= 0 ? vec_left + vec_right : -1e9;
       transform_rows[row++].push_back(eval::Table::Num(seconds, 2));
     }
-    std::fprintf(stderr, "[table4] %s done\n", model->info().code);
+    std::fprintf(stderr, "[table4] %s done\n", model->info().code.c_str());
   }
 
   table.AddRow(init_row);

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
                     eval::Table::Num(blocked.index_seconds, 3),
                     eval::Table::Num(blocked.query_seconds, 3)});
       std::fprintf(stderr, "[fig7] %s n=%zu recall=%.3f\n",
-                   model->info().code, sizes[s], prf.recall);
+                   model->info().code.c_str(), sizes[s], prf.recall);
     }
     recall_table.AddRow(recall_row);
     precision_table.AddRow(precision_row);

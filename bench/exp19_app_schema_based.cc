@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       recalls.push_back(recall);
       f1s.push_back(sweep.best.metrics.f1);
       std::fprintf(stderr, "[schema-based] %s %s recall=%.3f f1=%.3f\n",
-                   model->info().code, dataset_id.c_str(), recall,
+                   model->info().code.c_str(), dataset_id.c_str(), recall,
                    sweep.best.metrics.f1);
     }
     recall_table.AddRow(recall_row);

@@ -1,12 +1,13 @@
 // Memory & cold-start benchmark (beyond the paper; DESIGN.md §12): measures
-// what the EMBS0002 mmap container and the int8 scan tier buy over the
-// EMBS0001 heap loader on synthetic S-GTR-T5-shaped corpora (dim 768):
+// what the EMBS0002 mmap container and the int8 scan tier buy on synthetic
+// S-GTR-T5-shaped corpora (dim 768):
 //
 //   (a) cold-start: LoadFrom wall time and the RSS the load itself adds,
-//       for heap (v1), mmap+checksum (v2) and mmap trusted (v2, verify
-//       off), across growing corpus sizes. The trusted mmap open must stay
-//       flat (O(1): header + section table only) while the heap load grows
-//       linearly with the corpus.
+//       for mmap with the payload checksum verified (the default) and
+//       mmap trusted (verify off), across growing corpus sizes. The
+//       trusted open must stay flat (O(1): header + section table only)
+//       while the verified open grows with the file (one linear checksum
+//       pass that also pages the file in).
 //   (b) scan throughput: float GemmBt scan vs int8 GemmBtI8Strided scan +
 //       float rescore, same snapshot, same queries, k=10.
 //   (c) quality: recall@10 of the rescored int8 scan against the float
@@ -102,44 +103,35 @@ int main(int argc, char** argv) {
                                         (env.full ? 1.0 : env.scale)));
   }
 
-  std::printf("\n-- cold start: heap (EMBS0001) vs mmap (EMBS0002), dim %zu "
+  std::printf("\n-- cold start: checksum-verified vs trusted mmap, dim %zu "
               "--\n",
               kDim);
-  std::printf("%8s %12s %14s %14s %16s %14s %14s\n", "rows", "heap_ms",
-              "heap_rss_kb", "mmap_ck_ms", "mmap_ck_rss_kb", "mmap_ms",
-              "mmap_rss_kb");
+  std::printf("%8s %14s %16s %14s %14s\n", "rows", "mmap_ck_ms",
+              "mmap_ck_rss_kb", "mmap_ms", "mmap_rss_kb");
   eval::Table cold("exp25 cold start");
-  cold.SetHeader({"rows", "file_bytes", "heap_ms", "heap_rss_kb",
-                  "mmap_verify_ms", "mmap_verify_rss_kb", "mmap_ms",
-                  "mmap_rss_kb"});
+  cold.SetHeader({"rows", "file_bytes", "mmap_verify_ms",
+                  "mmap_verify_rss_kb", "mmap_ms", "mmap_rss_kb"});
   for (const size_t rows : sizes) {
     const la::Matrix corpus = RandomUnitRows(rows, kDim, env.seed + rows);
     const serve::Snapshot built = BuildExact(corpus);
-    const std::string v1_path = env.artifacts_dir + "/exp25_snap_v1.bin";
-    const std::string v2_path = env.artifacts_dir + "/exp25_snap_v2.bin";
-    EMBER_CHECK(built.SaveTo(v1_path, serve::SnapshotFormat::kV1).ok());
-    EMBER_CHECK(built.SaveTo(v2_path, serve::SnapshotFormat::kV2).ok());
+    const std::string path = env.artifacts_dir + "/exp25_snap.bin";
+    EMBER_CHECK(built.SaveTo(path).ok());
 
-    const LoadPoint heap = MeasureLoad(v1_path, serve::LoadOptions{});
-    serve::LoadOptions verify;
-    const LoadPoint mmap_ck = MeasureLoad(v2_path, verify);
+    const LoadPoint mmap_ck = MeasureLoad(path, serve::LoadOptions{});
     serve::LoadOptions trusted;
     trusted.verify_checksum = false;
-    const LoadPoint mmap = MeasureLoad(v2_path, trusted);
-    EMBER_CHECK(mmap.bytes_mapped > 0 && heap.bytes_mapped == 0);
+    const LoadPoint mmap = MeasureLoad(path, trusted);
+    EMBER_CHECK(mmap_ck.bytes_mapped > 0 &&
+                mmap.bytes_mapped == mmap_ck.bytes_mapped);
 
-    std::printf("%8zu %12.2f %14ld %14.2f %16ld %14.3f %14ld\n", rows,
-                heap.millis, heap.rss_delta_kb, mmap_ck.millis,
+    std::printf("%8zu %14.2f %16ld %14.3f %14ld\n", rows, mmap_ck.millis,
                 mmap_ck.rss_delta_kb, mmap.millis, mmap.rss_delta_kb);
     cold.AddRow({std::to_string(rows), std::to_string(mmap.bytes_mapped),
-                 eval::Table::Num(heap.millis, 3),
-                 std::to_string(heap.rss_delta_kb),
                  eval::Table::Num(mmap_ck.millis, 3),
                  std::to_string(mmap_ck.rss_delta_kb),
                  eval::Table::Num(mmap.millis, 4),
                  std::to_string(mmap.rss_delta_kb)});
-    std::remove(v1_path.c_str());
-    std::remove(v2_path.c_str());
+    std::remove(path.c_str());
   }
   EMBER_CHECK(bench::SaveArtifact(env, "exp25_cold_start", cold).ok());
 

@@ -298,20 +298,25 @@ echo "==> serve CLI smoke (Release)"
 ./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --qps 50 \
   --duration 1 --snapshot build-release/d2_smoke.snap
 
-echo "==> snapshot-convert round trip + quantized mmap serving (Release)"
-# d2_smoke.snap is EMBS0002 (the default). Convert to the legacy container
-# and back, then build the int8 tier and serve from the mmap'ed quantized
+echo "==> snapshot-convert + quantized mmap serving (Release)"
+# Build the int8 tier offline and serve from the mmap'ed quantized
 # snapshot; the ASan mmap loader already ran above via fault/serve tests.
 ./build-release/tools/ember_cli snapshot-convert \
-  build-release/d2_smoke.snap build-release/d2_smoke_v1.snap --to v1
-./build-release/tools/ember_cli snapshot-convert \
-  build-release/d2_smoke_v1.snap build-release/d2_smoke_i8.snap --quantize int8
+  build-release/d2_smoke.snap build-release/d2_smoke_i8.snap --quantize int8
 ./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --qps 50 \
   --duration 1 --storage int8 --snapshot build-release/d2_smoke_i8.snap
-# The quantized container must refuse to downgrade to EMBS0001.
+# EMBS0002 is the only container: a file with the retired EMBS0001 magic
+# must be refused, and --to (the old container switch) is a usage error.
+{ printf 'EMBS0001'; tail -c +9 build-release/d2_smoke.snap; } \
+  > build-release/d2_smoke_embs0001.snap
 ./build-release/tools/ember_cli snapshot-convert \
-  build-release/d2_smoke_i8.snap /dev/null --to v1 >/dev/null 2>&1 \
-  && { echo "int8 snapshot converted to v1 but EMBS0001 cannot carry it" >&2; exit 1; }
+  build-release/d2_smoke_embs0001.snap /dev/null >/dev/null 2>&1 \
+  && { echo "snapshot-convert accepted an EMBS0001 file" >&2; exit 1; }
+rc=0
+./build-release/tools/ember_cli snapshot-convert \
+  build-release/d2_smoke.snap /dev/null --to v2 >/dev/null 2>&1 || rc=$?
+[ "${rc}" -eq 2 ] \
+  || { echo "snapshot-convert --to exited ${rc}, not the usage error (2)" >&2; exit 1; }
 
 echo "==> sharded serving smoke (Release): shard set + router scatter-gather"
 # Build a 4-shard set; the CLI round-trips it and bit-compares the k-way

@@ -53,7 +53,7 @@ inline constexpr const char* kCatalog[] = {
     "binary_io/rename",   // WriteFileAtomic publish (temp -> final rename)
     "cache/load",         // VectorCache entry load (fires => miss)
     "cache/store",        // VectorCache entry store (retried)
-    "index/load",         // Exact/Hnsw/Lsh Load (fires => corrupt payload)
+    "index/load",         // EMBS0002 index attach (fires => corrupt payload)
     "snapshot/save",      // serve::Snapshot::SaveTo entry
     "snapshot/load",      // serve::Snapshot::LoadFrom entry
     "snapshot/validate",  // serve::Snapshot::Validate entry

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/binary_io.h"
-#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "la/matrix_io.h"
 #include "la/vector_ops.h"
 #include "obs/trace.h"
 
@@ -253,31 +250,6 @@ std::vector<std::vector<Neighbor>> BruteForceTopK(const la::Matrix& data,
     }
   });
   return results;
-}
-
-namespace {
-constexpr uint32_t kExactFormatVersion = 1;
-}  // namespace
-
-void ExactIndex::Save(BinaryWriter& writer) const {
-  writer.WriteU32(kExactFormatVersion);
-  la::WriteMatrix(writer, data_);
-}
-
-bool ExactIndex::Load(BinaryReader& reader) {
-  *this = ExactIndex();
-  if (!fail::Check("index/load").ok()) {
-    reader.Fail();
-    return false;
-  }
-  if (reader.ReadU32() != kExactFormatVersion) {
-    reader.Fail();
-    return false;
-  }
-  la::Matrix data;
-  if (!la::ReadMatrix(reader, data)) return false;
-  data_ = std::move(data);
-  return true;
 }
 
 }  // namespace ember::index

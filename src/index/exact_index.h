@@ -7,11 +7,6 @@
 #include "la/matrix.h"
 #include "la/quantize.h"
 
-namespace ember {
-class BinaryReader;
-class BinaryWriter;
-}  // namespace ember
-
 namespace ember::index {
 
 /// Brute-force top-k of every `queries` row against the rows of `data`
@@ -63,15 +58,6 @@ class ExactIndex {
   /// thread pool with one top-k heap per query.
   std::vector<std::vector<Neighbor>> QueryBatch(const la::Matrix& queries,
                                                 size_t k) const;
-
-  /// Appends a versioned binary image of the index (vectors included);
-  /// a Load() of those bytes answers queries bit-identically.
-  void Save(BinaryWriter& writer) const;
-
-  /// Restores an index saved by Save(). Fail-closed: on truncated or
-  /// corrupt input returns false, fails the reader, and leaves the index
-  /// empty — it never throws or reads out of bounds.
-  bool Load(BinaryReader& reader);
 
  private:
   std::vector<std::vector<Neighbor>> QueryBatchQuantized(

@@ -6,12 +6,9 @@
 
 #include <cstring>
 
-#include "common/binary_io.h"
-#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "la/matrix_io.h"
 #include "la/vector_ops.h"
 #include "obs/trace.h"
 
@@ -266,96 +263,10 @@ std::vector<std::vector<Neighbor>> HnswIndex::QueryBatch(
 }
 
 namespace {
-constexpr uint32_t kHnswFormatVersion = 1;
-/// Level-count ceiling on load: with level_mult = 1/ln(2) the chance of a
+/// Level-count ceiling on attach: with level_mult = 1/ln(2) the chance of a
 /// node drawing level 64 is ~2^-64, so anything above it is corruption.
 constexpr uint64_t kMaxLevels = 64;
 }  // namespace
-
-void HnswIndex::Save(BinaryWriter& writer) const {
-  writer.WriteU32(kHnswFormatVersion);
-  writer.WriteU64(options_.m);
-  writer.WriteU64(options_.ef_construction);
-  writer.WriteU64(options_.ef_search);
-  writer.WriteU64(options_.seed);
-  la::WriteMatrix(writer, data_);
-  writer.WriteU32(entry_);
-  writer.WriteU64(max_level_);
-  // Written through the storage-neutral accessors, so a flat-attached
-  // (mmap'ed) index saves the exact bytes a heap-built one would — the v1
-  // format stays the conversion oracle in both directions.
-  for (uint32_t node = 0; node < data_.rows(); ++node) {
-    const size_t levels = LevelCount(node);
-    writer.WriteU64(levels);
-    for (size_t level = 0; level < levels; ++level) {
-      const LinkView view = Links(node, level);
-      writer.WriteU64(view.count);
-      writer.WriteRaw(view.data, view.count * sizeof(uint32_t));
-    }
-  }
-}
-
-bool HnswIndex::Load(BinaryReader& reader) {
-  *this = HnswIndex();
-  if (!fail::Check("index/load").ok()) {
-    reader.Fail();
-    return false;
-  }
-  if (reader.ReadU32() != kHnswFormatVersion) {
-    reader.Fail();
-    return false;
-  }
-  options_.m = reader.ReadU64();
-  options_.ef_construction = reader.ReadU64();
-  options_.ef_search = reader.ReadU64();
-  options_.seed = reader.ReadU64();
-  la::Matrix data;
-  if (!la::ReadMatrix(reader, data)) return false;
-  const uint32_t entry = reader.ReadU32();
-  const uint64_t max_level = reader.ReadU64();
-  const size_t rows = data.rows();
-  std::vector<std::vector<std::vector<uint32_t>>> links(rows);
-  for (size_t node = 0; node < rows; ++node) {
-    const uint64_t levels = reader.ReadU64();
-    if (!reader.ok() || levels == 0 || levels > kMaxLevels) {
-      reader.Fail();
-      return false;
-    }
-    links[node].resize(levels);
-    for (uint64_t level = 0; level < levels; ++level) {
-      links[node][level] = reader.ReadPodVector<uint32_t>();
-      for (const uint32_t target : links[node][level]) {
-        if (target >= rows) {
-          reader.Fail();
-          return false;
-        }
-      }
-    }
-  }
-  // Graph invariants the search paths rely on: a valid entry point that
-  // actually exists on every level up to max_level_, and every level-l link
-  // pointing at a node that has a level-l adjacency list of its own.
-  if (!reader.ok() ||
-      (rows > 0 && (entry >= rows || max_level >= links[entry].size()))) {
-    reader.Fail();
-    return false;
-  }
-  for (size_t node = 0; node < rows; ++node) {
-    for (size_t level = 0; level < links[node].size(); ++level) {
-      for (const uint32_t target : links[node][level]) {
-        if (links[target].size() <= level) {
-          reader.Fail();
-          return false;
-        }
-      }
-    }
-  }
-  data_ = std::move(data);
-  links_ = std::move(links);
-  entry_ = entry;
-  max_level_ = max_level;
-  return true;
-}
 
 bool HnswIndex::ValidateGraph() const {
   const size_t rows = data_.rows();
@@ -409,8 +320,8 @@ bool HnswIndex::AttachFlat(la::Matrix data, const HnswOptions& options,
   const size_t rows = data.rows();
   // Structural validation before a single pointer is trusted: the CSR
   // arrays come straight out of an mmap'ed file, so every invariant the
-  // nested-vector Load() enforces is re-checked here against the flat
-  // encoding. Anything off leaves the index empty (fail closed).
+  // search paths rely on is checked here against the flat encoding.
+  // Anything off leaves the index empty (fail closed).
   if (entry_base[0] != 0) return false;
   for (size_t node = 0; node < rows; ++node) {
     const uint32_t count = levels[node];

@@ -8,11 +8,6 @@
 #include "index/neighbor.h"
 #include "la/matrix.h"
 
-namespace ember {
-class BinaryReader;
-class BinaryWriter;
-}  // namespace ember
-
 namespace ember::index {
 
 /// HNSW build/search parameters (Malkov & Yashunin defaults scaled to
@@ -102,11 +97,13 @@ class HnswIndex {
   FlatGraph Flatten() const;
 
   /// Adopts a flat CSR graph over externally-owned arrays (the mmap'ed
-  /// snapshot path; the caller keeps the arrays alive). Revalidates every
-  /// structural invariant Load() would — prefix-sum consistency, offsets
-  /// monotone and in bounds, every link target in bounds with a list on
-  /// that level, entry point on max_level — and fails closed: on any
-  /// violation the index is left empty and false is returned.
+  /// snapshot path; the caller keeps the arrays alive). Validates every
+  /// structural invariant the search paths rely on — level counts in
+  /// [1, 64], prefix-sum consistency, offsets monotone and in bounds, every
+  /// link target in bounds with a list on that level, entry point on
+  /// max_level — and fails closed: on any violation the index is left
+  /// empty and false is returned. With the snapshot checksum skipped
+  /// (trusted load) this is the only guard on the graph bytes.
   bool AttachFlat(la::Matrix data, const HnswOptions& options, uint32_t entry,
                   size_t max_level, const uint32_t* levels,
                   const uint64_t* entry_base, const uint64_t* starts,
@@ -138,20 +135,11 @@ class HnswIndex {
   std::vector<std::vector<Neighbor>> QueryBatch(const la::Matrix& queries,
                                                 size_t k) const;
 
-  /// Appends a versioned binary image (options, vectors, graph, entry
-  /// point); a Load() of those bytes answers queries bit-identically to
-  /// this index — no rebuild, no RNG.
-  void Save(BinaryWriter& writer) const;
-
-  /// Restores an index saved by Save(). Fail-closed: validates every link
-  /// target and the entry point before accepting, returns false and leaves
-  /// the index empty on any corruption.
-  bool Load(BinaryReader& reader);
-
   /// Re-checks the graph invariants the search paths rely on (entry point
   /// and every link target in bounds, adjacency lists present on every
-  /// level they are referenced from). Load() already enforces these; the
-  /// serving layer re-runs them before trusting a hot-reloaded snapshot.
+  /// level they are referenced from). AttachFlat() already enforces these;
+  /// the serving layer re-runs them before trusting a hot-reloaded snapshot
+  /// or adopting an online-built graph.
   bool ValidateGraph() const;
 
  private:
@@ -198,8 +186,8 @@ class HnswIndex {
   HnswOptions options_;
   la::Matrix data_;
   /// links_[node][level] -> neighbor ids; node exists on [0, levels(node)].
-  /// Mutable nested storage used by Build/Insert and the v1 Load path;
-  /// empty when the graph is flat-attached.
+  /// Mutable nested storage used by Build/Insert/Thaw; empty when the
+  /// graph is flat-attached.
   std::vector<std::vector<std::vector<uint32_t>>> links_;
   /// Read-only CSR pointers when the graph was AttachFlat'ed (EMBS0002
   /// mmap path); the snapshot owns the backing arrays.

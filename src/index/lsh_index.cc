@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "common/failpoint.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "la/matrix_io.h"
 #include "la/vector_ops.h"
 #include "obs/trace.h"
 
@@ -145,45 +143,6 @@ bool ReadBuckets(BinaryReader& reader, size_t expected_tables, size_t rows,
 
 }  // namespace
 
-void LshIndex::Save(BinaryWriter& writer) const {
-  writer.WriteU32(kLshFormatVersion);
-  writer.WriteU64(options_.tables);
-  writer.WriteU64(options_.bits);
-  writer.WriteU64(options_.seed);
-  la::WriteMatrix(writer, data_);
-  la::WriteMatrix(writer, planes_);
-  WriteBuckets(writer, buckets_);
-}
-
-bool LshIndex::Load(BinaryReader& reader) {
-  *this = LshIndex();
-  if (!fail::Check("index/load").ok()) {
-    reader.Fail();
-    return false;
-  }
-  if (reader.ReadU32() != kLshFormatVersion) {
-    reader.Fail();
-    return false;
-  }
-  LshOptions options;
-  options.tables = reader.ReadU64();
-  options.bits = reader.ReadU64();
-  options.seed = reader.ReadU64();
-  la::Matrix data, planes;
-  if (!la::ReadMatrix(reader, data) || !la::ReadMatrix(reader, planes)) {
-    return false;
-  }
-  BucketTables buckets;
-  if (!ReadBuckets(reader, options.tables, data.rows(), &buckets)) {
-    return false;
-  }
-  options_ = options;
-  data_ = std::move(data);
-  planes_ = std::move(planes);
-  buckets_ = std::move(buckets);
-  return true;
-}
-
 void LshIndex::SaveAux(BinaryWriter& writer) const {
   writer.WriteU32(kLshFormatVersion);
   writer.WriteU64(options_.tables);
@@ -195,10 +154,6 @@ void LshIndex::SaveAux(BinaryWriter& writer) const {
 bool LshIndex::LoadAux(BinaryReader& reader, la::Matrix data,
                        la::Matrix planes) {
   *this = LshIndex();
-  if (!fail::Check("index/load").ok()) {
-    reader.Fail();
-    return false;
-  }
   if (reader.ReadU32() != kLshFormatVersion) {
     reader.Fail();
     return false;
@@ -208,9 +163,9 @@ bool LshIndex::LoadAux(BinaryReader& reader, la::Matrix data,
   options.bits = reader.ReadU64();
   options.seed = reader.ReadU64();
   if (!reader.ok()) return false;
-  // Shape cross-checks the v1 path gets implicitly from its own writer:
-  // the plane matrix must cover tables * bits hyperplanes of the data's
-  // dimensionality whenever the index is non-empty.
+  // Shape cross-checks: the plane matrix must cover tables * bits
+  // hyperplanes of the data's dimensionality whenever the index is
+  // non-empty.
   if (data.rows() > 0 && (planes.rows() != options.tables * options.bits ||
                           planes.cols() != data.cols())) {
     reader.Fail();

@@ -50,27 +50,21 @@ class LshIndex {
   std::vector<std::vector<Neighbor>> QueryBatch(const la::Matrix& queries,
                                                 size_t k) const;
 
-  /// Appends a versioned binary image (options, vectors, hyperplanes,
-  /// buckets); a Load() of those bytes answers queries bit-identically.
-  void Save(BinaryWriter& writer) const;
-
-  /// Restores an index saved by Save(). Fail-closed: returns false and
-  /// leaves the index empty on truncated/corrupt payloads.
-  bool Load(BinaryReader& reader);
-
   const la::Matrix& planes() const { return planes_; }
 
-  /// The v1 image minus the two matrices: options + buckets. The EMBS0002
-  /// container stores data and hyperplanes as aligned mmap-able sections
-  /// and keeps only this residue as an opaque aux blob (the bucket maps are
-  /// pointer-heavy and rebuild as heap structures either way).
+  /// Everything but the two matrices: a versioned options + buckets blob.
+  /// The EMBS0002 container stores data and hyperplanes as aligned
+  /// mmap-able sections and keeps only this residue as an opaque aux blob
+  /// (the bucket maps are pointer-heavy and rebuild as heap structures
+  /// either way).
   void SaveAux(BinaryWriter& writer) const;
 
   /// Counterpart of SaveAux: adopts externally-provided data/planes
   /// matrices (typically zero-copy views over an mmap'ed snapshot) and
-  /// reads options + buckets from the aux blob. Fail-closed with the same
-  /// guarantees as Load(), plus cross-shape checks between the matrices
-  /// and the options.
+  /// reads options + buckets from the aux blob. Fail-closed: returns false
+  /// and leaves the index empty on a truncated or corrupt blob (bucket ids
+  /// bounded, no duplicate hashes) or when the matrix shapes disagree with
+  /// the options.
   bool LoadAux(BinaryReader& reader, la::Matrix data, la::Matrix planes);
 
  private:

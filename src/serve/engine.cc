@@ -91,7 +91,7 @@ std::vector<obs::Sample> MetricsToSamples(const EngineMetrics& metrics,
         "Wall-clock load time of the serving snapshot",
         static_cast<double>(snapshot.load_micros()));
   gauge("ember_serve_snapshot_bytes_mapped",
-        "Bytes mmap'ed by the serving snapshot (0 = heap-loaded)",
+        "Bytes mmap'ed by the serving snapshot (0 = built in memory)",
         static_cast<double>(snapshot.bytes_mapped()));
   histogram("ember_serve_embed_micros", "Vectorization time per batch",
             metrics.embed_micros);
@@ -487,10 +487,10 @@ void Engine::ProcessBatch(std::vector<Request>& live, const BatchInfo& batch) {
 Result<std::shared_ptr<const Snapshot>> Engine::LoadValidated(
     const std::string& path, const RetryPolicy& policy) {
   uint64_t load_retries = 0;
-  // Note: the paranoid LoadOptions default (full checksum verification) is
-  // deliberate and non-negotiable here — this is the gate every hot swap
-  // (reload AND compaction commit) passes through, and trusted mode is only
-  // for cold starts on already-verified files.
+  // LoadWithRetry always verifies the full checksum (it takes no
+  // LoadOptions): this is the gate every hot swap (reload AND compaction
+  // commit) passes through, and trusted mode is only for cold starts on
+  // already-verified files.
   Result<Snapshot> loaded =
       Snapshot::LoadWithRetry(path, policy, &load_retries);
   retries_.fetch_add(load_retries, std::memory_order_relaxed);

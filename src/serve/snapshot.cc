@@ -1,73 +1,12 @@
 #include "serve/snapshot.h"
 
-#include <chrono>
-#include <cstring>
 #include <utility>
 
-#include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "serve/snapshot_internal.h"
 
 namespace ember::serve {
-
-namespace internal {
-
-namespace {
-// v2 added the shard-plan fields (shard_id/shard_count/row_offset); v3
-// added the mutation-log position (mutation_seq). The reader is strict:
-// older files fail closed instead of silently loading with guessed fields —
-// rebuild the snapshot (they are derived artifacts).
-constexpr uint32_t kManifestVersion = 3;
-}  // namespace
-
-void WriteManifest(BinaryWriter& writer, const SnapshotManifest& manifest) {
-  writer.WriteU32(kManifestVersion);
-  writer.WriteString(manifest.model_code);
-  writer.WriteU32(manifest.dim);
-  writer.WriteU32(manifest.default_k);
-  writer.WriteU32(static_cast<uint32_t>(manifest.kind));
-  writer.WriteU64(manifest.rows);
-  writer.WriteString(manifest.dataset);
-  writer.WriteU32(manifest.shard_id);
-  writer.WriteU32(manifest.shard_count);
-  writer.WriteU64(manifest.row_offset);
-  writer.WriteU64(manifest.mutation_seq);
-}
-
-bool ReadManifest(BinaryReader& reader, SnapshotManifest& manifest) {
-  if (reader.ReadU32() != kManifestVersion) {
-    reader.Fail();
-    return false;
-  }
-  manifest.model_code = reader.ReadString();
-  manifest.dim = reader.ReadU32();
-  manifest.default_k = reader.ReadU32();
-  const uint32_t kind = reader.ReadU32();
-  manifest.rows = reader.ReadU64();
-  manifest.dataset = reader.ReadString();
-  manifest.shard_id = reader.ReadU32();
-  manifest.shard_count = reader.ReadU32();
-  manifest.row_offset = reader.ReadU64();
-  manifest.mutation_seq = reader.ReadU64();
-  if (!reader.ok() || kind > static_cast<uint32_t>(IndexKind::kLsh)) {
-    reader.Fail();
-    return false;
-  }
-  // Shard-plan coherence is part of the format: only the round-robin plan
-  // exists, under which row_offset is exactly the shard id.
-  if (manifest.shard_count == 0 ||
-      manifest.shard_id >= manifest.shard_count ||
-      manifest.row_offset != manifest.shard_id) {
-    reader.Fail();
-    return false;
-  }
-  manifest.kind = static_cast<IndexKind>(kind);
-  return true;
-}
-
-}  // namespace internal
 
 const char* IndexKindName(IndexKind kind) {
   switch (kind) {
@@ -143,117 +82,14 @@ Status Snapshot::Quantize() {
   return Status::Ok();
 }
 
-Status Snapshot::SaveTo(const std::string& path,
-                        SnapshotFormat format) const {
-  EMBER_FAILPOINT("snapshot/save");
-  if (format == SnapshotFormat::kV2) return SaveToV2(path);
-  if (manifest_.storage != StorageKind::kFloat32) {
-    return Status::InvalidArgument(
-        "the EMBS0001 format cannot carry int8 storage; save as EMBS0002");
-  }
-  BinaryWriter writer;
-  internal::WriteManifest(writer, manifest_);
-  switch (manifest_.kind) {
-    case IndexKind::kExact:
-      exact_.Save(writer);
-      break;
-    case IndexKind::kHnsw:
-      hnsw_.Save(writer);
-      break;
-    case IndexKind::kLsh:
-      lsh_.Save(writer);
-      break;
-  }
-  return WriteFileAtomic(path, internal::kMagicV1, writer.buffer());
-}
-
-Result<Snapshot> Snapshot::LoadFrom(const std::string& path) {
-  return LoadFrom(path, LoadOptions{});
-}
-
-Result<Snapshot> Snapshot::LoadFrom(const std::string& path,
-                                    const LoadOptions& options) {
-  EMBER_FAILPOINT("snapshot/load");
-  const auto start = std::chrono::steady_clock::now();
-  Result<Snapshot> loaded = [&]() -> Result<Snapshot> {
-    Result<MmapFile> file = MmapFile::Open(path);
-    if (!file.ok()) return file.status();
-    if (file.value().size() >= sizeof(internal::kMagicV2) &&
-        std::memcmp(file.value().data(), internal::kMagicV2,
-                    sizeof(internal::kMagicV2)) == 0) {
-      return LoadFromV2(path, options, std::move(file.value()));
-    }
-    // Anything that is not EMBS0002 goes down the v1 path, which re-reads
-    // the file and produces the precise magic/truncation diagnostics.
-    Snapshot snapshot;
-    const Status v1 = LoadV1Into(path, snapshot);
-    if (!v1.ok()) return v1;
-    return snapshot;
-  }();
-  if (!loaded.ok()) return loaded;
-  loaded.value().load_micros_ = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  return loaded;
-}
-
-Status Snapshot::LoadV1Into(const std::string& path, Snapshot& snapshot) {
-  Result<std::string> payload = ReadFileVerified(path, internal::kMagicV1);
-  if (!payload.ok()) return payload.status();
-  BinaryReader reader(payload.value());
-  SnapshotManifest manifest;
-  if (!internal::ReadManifest(reader, manifest)) {
-    return Status::IoError(path + ": corrupt snapshot manifest");
-  }
-  Snapshot loaded;
-  loaded.manifest_ = std::move(manifest);
-  bool ok = false;
-  size_t rows = 0, cols = 0;
-  switch (loaded.manifest_.kind) {
-    case IndexKind::kExact:
-      ok = loaded.exact_.Load(reader);
-      rows = loaded.exact_.size();
-      cols = loaded.exact_.data().cols();
-      break;
-    case IndexKind::kHnsw:
-      ok = loaded.hnsw_.Load(reader);
-      rows = loaded.hnsw_.size();
-      cols = loaded.hnsw_.data().cols();
-      break;
-    case IndexKind::kLsh:
-      ok = loaded.lsh_.Load(reader);
-      rows = loaded.lsh_.size();
-      cols = loaded.lsh_.data().cols();
-      break;
-  }
-  // Cross-checking the index against the manifest (and requiring the
-  // payload fully consumed) keeps a snapshot whose sections disagree from
-  // ever serving.
-  if (!ok || !reader.ok() || reader.remaining() != 0 ||
-      rows != loaded.manifest_.rows ||
-      (rows > 0 && cols != loaded.manifest_.dim)) {
-    return Status::IoError(path + ": corrupt snapshot index payload");
-  }
-  snapshot = std::move(loaded);
-  return Status::Ok();
-}
-
 Result<Snapshot> Snapshot::LoadWithRetry(const std::string& path,
                                          const RetryPolicy& policy,
-                                         uint64_t* retries) {
-  return LoadWithRetry(path, policy, LoadOptions{}, retries);
-}
-
-Result<Snapshot> Snapshot::LoadWithRetry(const std::string& path,
-                                         const RetryPolicy& policy,
-                                         const LoadOptions& load_options,
                                          uint64_t* retries) {
   Result<Snapshot> loaded = Status::Internal("snapshot load never attempted");
   RetryStatus(
       policy, HashBytes(path.data(), path.size()),
       [&] {
-        loaded = LoadFrom(path, load_options);
+        loaded = LoadFrom(path);
         return loaded.status();
       },
       retries);

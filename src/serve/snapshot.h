@@ -32,20 +32,13 @@ enum class StorageKind : uint32_t { kFloat32 = 0, kInt8 = 1 };
 const char* StorageKindName(StorageKind kind);
 Result<StorageKind> StorageKindFromString(const std::string& text);
 
-/// On-disk container revisions. kV1 is the original EMBS0001 heap-load
-/// format (kept bit-identical as the compatibility oracle); kV2 is the
-/// EMBS0002 layout with 64-byte-aligned sections that LoadFrom maps into
-/// place instead of deserializing.
-enum class SnapshotFormat : uint32_t { kV1 = 1, kV2 = 2 };
-
 /// Knobs for LoadFrom. The default is maximally paranoid.
 struct LoadOptions {
   /// Verify the full-payload FNV-1a checksum on open (fail-closed against
-  /// bit flips, same guarantee as EMBS0001). Turning it off skips the only
-  /// O(file-size) pass in the EMBS0002 load path — that is the O(1)
-  /// cold-start mode for files this process just wrote or already
-  /// verified. Header checksum, file-length and section bounds checks
-  /// always run regardless.
+  /// bit flips). Turning it off skips the only O(file-size) pass in the
+  /// load path — that is the O(1) cold-start mode for files this process
+  /// just wrote or already verified. Header checksum, file-length and
+  /// section bounds checks always run regardless.
   bool verify_checksum = true;
 };
 
@@ -60,8 +53,7 @@ struct SnapshotManifest {
   IndexKind kind = IndexKind::kExact;
   uint64_t rows = 0;       // corpus size
   std::string dataset;     // free-form provenance tag (e.g. "D2@0.25")
-  /// Scan-tier storage. Only EMBS0002 can carry kInt8 (and only for
-  /// kExact); EMBS0001 snapshots are always kFloat32.
+  /// Scan-tier storage. Only kExact snapshots can carry kInt8.
   StorageKind storage = StorageKind::kFloat32;
   /// Shard plan (DESIGN.md §13). An unsharded snapshot is the degenerate
   /// 1-shard plan (shard_id 0, shard_count 1, row_offset 0). Shard s of N
@@ -81,15 +73,14 @@ struct SnapshotManifest {
 
 /// A built blocking pipeline frozen into one loadable unit: the manifest
 /// plus exactly one index, which owns (or, when mmap'ed, views) the corpus
-/// embedding matrix. Two checksummed containers exist: the legacy
-/// "EMBS0001" stream (heap deserialization) and the section-aligned
-/// "EMBS0002" layout that LoadFrom maps read-only and serves in place —
-/// no copy, lazy page-in, and N processes share one physical copy of the
-/// corpus. Both are written atomically; LoadFrom sniffs the magic, fails
-/// closed on truncation or bit flips in either format, and a loaded
-/// snapshot answers QueryBatch bit-identically to the freshly built
-/// pipeline it was saved from (for float storage; int8 storage rescores to
-/// recall@10 >= 0.99 of the float oracle).
+/// embedding matrix. The on-disk container is the checksummed,
+/// section-aligned "EMBS0002" layout that LoadFrom maps read-only and
+/// serves in place — no copy, lazy page-in, and N processes share one
+/// physical copy of the corpus. It is written atomically; LoadFrom fails
+/// closed on a wrong magic, truncation or bit flips, and a loaded snapshot
+/// answers QueryBatch bit-identically to the freshly built pipeline it was
+/// saved from (for float storage; int8 storage rescores to recall@10 >=
+/// 0.99 of the float oracle).
 class Snapshot {
  public:
   Snapshot() = default;
@@ -105,32 +96,26 @@ class Snapshot {
   /// manifest to StorageKind::kInt8; SaveTo then persists both tiers.
   Status Quantize();
 
-  /// Writes the EMBS0002 container by default; pass kV1 for the legacy
-  /// stream (valid only for float storage — the v1 format cannot carry the
-  /// int8 tier).
-  Status SaveTo(const std::string& path,
-                SnapshotFormat format = SnapshotFormat::kV2) const;
+  /// Writes the EMBS0002 container. SaveTo and LoadFrom are defined in
+  /// snapshot_v2.cc, next to the layout they share.
+  Status SaveTo(const std::string& path) const;
 
-  static Result<Snapshot> LoadFrom(const std::string& path);
+  /// Maps an EMBS0002 file read-only and serves it in place. Any other
+  /// file — too short, or with another magic — is refused with a non-ok
+  /// Status.
   static Result<Snapshot> LoadFrom(const std::string& path,
-                                   const LoadOptions& options);
+                                   const LoadOptions& options = {});
 
-  /// LoadFrom under a retry policy: transient load failures (I/O blips,
-  /// injected faults) back off and retry; corrupt-payload failures are
-  /// still surfaced after the attempt budget. `retries`, when non-null,
-  /// receives the number of retries actually taken.
+  /// LoadFrom under a retry policy, always with the paranoid LoadOptions
+  /// default: the swap boundaries that use it (hot reload, compaction
+  /// commit) must never trust bytes about to replace a serving corpus
+  /// (DESIGN.md §14). Transient load failures (I/O blips, injected faults)
+  /// back off and retry; corrupt-payload failures are still surfaced after
+  /// the attempt budget. `retries`, when non-null, receives the number of
+  /// retries actually taken.
   static Result<Snapshot> LoadWithRetry(const std::string& path,
                                         const RetryPolicy& policy,
                                         uint64_t* retries = nullptr);
-
-  /// Same, with explicit LoadOptions. Swap boundaries (hot reload,
-  /// compaction commit) always pass the paranoid default here — trusted
-  /// mode is a cold-start optimization for files a process just verified,
-  /// never for bytes about to replace a serving corpus (DESIGN.md §14).
-  static Result<Snapshot> LoadWithRetry(const std::string& path,
-                                        const RetryPolicy& policy,
-                                        const LoadOptions& load_options,
-                                        uint64_t* retries);
 
   /// Wraps an online-built HNSW graph (Thaw + AddBatch) as a serving
   /// snapshot — the delta-absorption publish path of the streaming tier.
@@ -157,8 +142,8 @@ class Snapshot {
   const index::LshOptions& lsh_options() const { return lsh_.options(); }
 
   /// Wall-clock cost of the last LoadFrom that produced this snapshot
-  /// (microseconds), and the bytes mmap'ed by it (0 for heap-loaded
-  /// EMBS0001 snapshots). Exported by the engine as
+  /// (microseconds), and the bytes mmap'ed by it (0 for snapshots built in
+  /// memory). Exported by the engine as
   /// ember_serve_snapshot_load_micros / ember_serve_snapshot_bytes_mapped.
   uint64_t load_micros() const { return load_micros_; }
   uint64_t bytes_mapped() const { return bytes_mapped_; }
@@ -169,7 +154,7 @@ class Snapshot {
 
   /// Re-validates the loaded snapshot: manifest vs index row/dim agreement
   /// plus the HNSW graph invariants (entry point and link targets in
-  /// bounds). Load() enforces all of this already; the serving engine runs
+  /// bounds). LoadFrom enforces all of this already; the serving engine runs
   /// it again before trusting a hot-reloaded snapshot, and the
   /// "snapshot/validate" failpoint injects failures here.
   Status Validate() const;
@@ -187,24 +172,14 @@ class Snapshot {
       const la::Matrix& queries, size_t k) const;
 
  private:
-  /// EMBS0002 writer/loader, defined in snapshot_v2.cc. The loader takes
-  /// ownership of the mapping and builds every index view in place.
-  Status SaveToV2(const std::string& path) const;
-  static Result<Snapshot> LoadFromV2(const std::string& path,
-                                     const LoadOptions& options,
-                                     MmapFile file);
-  /// The EMBS0001 heap-deserialization path (the compatibility oracle the
-  /// mmap loader is tested against). `snapshot` must be default-ctored.
-  static Status LoadV1Into(const std::string& path, Snapshot& snapshot);
-
   SnapshotManifest manifest_;
   // Exactly one is populated, per manifest_.kind.
   index::ExactIndex exact_;
   index::HnswIndex hnsw_;
   index::LshIndex lsh_;
-  /// Backing mapping when loaded from EMBS0002: the indexes hold raw views
+  /// Backing mapping when loaded from disk: the indexes hold raw views
   /// into it, so it is shared (Snapshot stays copyable; the last copy
-  /// munmaps). Null for built or EMBS0001-loaded snapshots.
+  /// munmaps). Null for snapshots built in memory.
   std::shared_ptr<MmapFile> mapping_;
   uint64_t load_micros_ = 0;
   uint64_t bytes_mapped_ = 0;

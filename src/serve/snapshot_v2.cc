@@ -13,18 +13,20 @@
 ///                u64 table_offset
 ///                u64 payload_checksum   FNV-1a over [64, file_length)
 ///                u64 header_checksum    FNV-1a over [0, 56)
-///   ...        manifest blob (v1 manifest fields + storage u32)
+///   ...        manifest blob (manifest v3 fields + storage u32)
 ///   ...        section table: section_count x {u64 id, offset, length}
 ///   ...        section payloads, each 64-byte-aligned, zero-padded between
 ///
-/// Fail-closed validation order on load: header checksum (covers every
-/// field the rest of the parse trusts), version, file_length == mapped
-/// size (truncation), payload checksum (bit flips; skippable via
-/// LoadOptions for the O(1) trusted path), then per-section alignment and
-/// bounds before any pointer is formed, then per-kind structural checks
-/// (AttachFlat / LoadAux / shape cross-checks) before the snapshot serves.
+/// Fail-closed validation order on load: magic (any other file is
+/// refused), header checksum (covers every field the rest of the parse
+/// trusts), version, file_length == mapped size (truncation), payload
+/// checksum (bit flips; skippable via LoadOptions for the O(1) trusted
+/// path), then per-section alignment and bounds before any pointer is
+/// formed, then per-kind structural checks (AttachFlat / LoadAux / shape
+/// cross-checks) before the snapshot serves.
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -37,13 +39,18 @@
 #include "la/matrix.h"
 #include "la/quantize.h"
 #include "serve/snapshot.h"
-#include "serve/snapshot_internal.h"
 
 namespace ember::serve {
 
 namespace {
 
+constexpr char kMagicV2[8] = {'E', 'M', 'B', 'S', '0', '0', '0', '2'};
 constexpr uint32_t kFormatVersionV2 = 2;
+// v2 added the shard-plan fields (shard_id/shard_count/row_offset); v3
+// added the mutation-log position (mutation_seq). The reader is strict:
+// older files fail closed instead of silently loading with guessed fields —
+// rebuild the snapshot (they are derived artifacts).
+constexpr uint32_t kManifestVersion = 3;
 constexpr size_t kHeaderBytes = 64;     // magic + HeaderV2
 constexpr size_t kAlign = la::kMatrixAlign;
 /// Generous ceiling (a snapshot uses at most 7 sections today); anything
@@ -87,9 +94,57 @@ constexpr size_t Align64(size_t offset) {
   return (offset + kAlign - 1) & ~(kAlign - 1);
 }
 
+/// The manifest blob: versioned fields, then the storage kind u32.
+void WriteManifest(BinaryWriter& writer, const SnapshotManifest& manifest) {
+  writer.WriteU32(kManifestVersion);
+  writer.WriteString(manifest.model_code);
+  writer.WriteU32(manifest.dim);
+  writer.WriteU32(manifest.default_k);
+  writer.WriteU32(static_cast<uint32_t>(manifest.kind));
+  writer.WriteU64(manifest.rows);
+  writer.WriteString(manifest.dataset);
+  writer.WriteU32(manifest.shard_id);
+  writer.WriteU32(manifest.shard_count);
+  writer.WriteU64(manifest.row_offset);
+  writer.WriteU64(manifest.mutation_seq);
+  writer.WriteU32(static_cast<uint32_t>(manifest.storage));
+}
+
+/// Counterpart of WriteManifest; requires the blob fully consumed.
+bool ReadManifest(BinaryReader& reader, SnapshotManifest& manifest) {
+  if (reader.ReadU32() != kManifestVersion) return false;
+  manifest.model_code = reader.ReadString();
+  manifest.dim = reader.ReadU32();
+  manifest.default_k = reader.ReadU32();
+  const uint32_t kind = reader.ReadU32();
+  manifest.rows = reader.ReadU64();
+  manifest.dataset = reader.ReadString();
+  manifest.shard_id = reader.ReadU32();
+  manifest.shard_count = reader.ReadU32();
+  manifest.row_offset = reader.ReadU64();
+  manifest.mutation_seq = reader.ReadU64();
+  const uint32_t storage = reader.ReadU32();
+  if (!reader.ok() || reader.remaining() != 0 ||
+      kind > static_cast<uint32_t>(IndexKind::kLsh) ||
+      storage > static_cast<uint32_t>(StorageKind::kInt8)) {
+    return false;
+  }
+  // Shard-plan coherence is part of the format: only the round-robin plan
+  // exists, under which row_offset is exactly the shard id.
+  if (manifest.shard_count == 0 ||
+      manifest.shard_id >= manifest.shard_count ||
+      manifest.row_offset != manifest.shard_id) {
+    return false;
+  }
+  manifest.kind = static_cast<IndexKind>(kind);
+  manifest.storage = static_cast<StorageKind>(storage);
+  return true;
+}
+
 }  // namespace
 
-Status Snapshot::SaveToV2(const std::string& path) const {
+Status Snapshot::SaveTo(const std::string& path) const {
+  EMBER_FAILPOINT("snapshot/save");
   // 1. Gather payloads. Pointer/length pairs reference storage that stays
   // alive until the image is assembled (index internals, or the local
   // blobs/flat holders below).
@@ -103,8 +158,7 @@ Status Snapshot::SaveToV2(const std::string& path) const {
   std::string manifest_blob;
   {
     BinaryWriter writer;
-    internal::WriteManifest(writer, manifest_);
-    writer.WriteU32(static_cast<uint32_t>(manifest_.storage));
+    WriteManifest(writer, manifest_);
     manifest_blob = writer.buffer();
   }
 
@@ -174,7 +228,7 @@ Status Snapshot::SaveToV2(const std::string& path) const {
 
   // 3. Assemble (padding stays zero) and patch the checksums last.
   std::string image(file_length, '\0');
-  std::memcpy(image.data(), internal::kMagicV2, sizeof(internal::kMagicV2));
+  std::memcpy(image.data(), kMagicV2, sizeof(kMagicV2));
   if (!manifest_blob.empty()) {
     std::memcpy(image.data() + manifest_offset, manifest_blob.data(),
                 manifest_blob.size());
@@ -204,15 +258,24 @@ Status Snapshot::SaveToV2(const std::string& path) const {
   return WriteBytesAtomic(path, image);
 }
 
-Result<Snapshot> Snapshot::LoadFromV2(const std::string& path,
-                                      const LoadOptions& options,
-                                      MmapFile file) {
-  const char* base = file.data();
-  const size_t size = file.size();
+Result<Snapshot> Snapshot::LoadFrom(const std::string& path,
+                                    const LoadOptions& options) {
+  EMBER_FAILPOINT("snapshot/load");
+  const auto start = std::chrono::steady_clock::now();
+  Result<MmapFile> file = MmapFile::Open(path);
+  if (!file.ok()) return file.status();
+  const char* base = file.value().data();
+  const size_t size = file.value().size();
   const auto corrupt = [&path](const std::string& why) {
     return Status::IoError(path + ": " + why);
   };
 
+  if (size < sizeof(kMagicV2) ||
+      std::memcmp(base, kMagicV2, sizeof(kMagicV2)) != 0) {
+    return corrupt(
+        "bad magic: not an EMBS0002 snapshot (the EMBS0001 heap format is "
+        "no longer read; rebuild the snapshot)");
+  }
   // Header first: its own checksum covers every field the rest of the
   // parse trusts, so a flipped bit in an offset cannot redirect a read.
   if (size < kHeaderBytes) return corrupt("truncated header");
@@ -248,15 +311,9 @@ Result<Snapshot> Snapshot::LoadFromV2(const std::string& path,
   {
     BinaryReader reader(std::string_view(base + header.manifest_offset,
                                          header.manifest_length));
-    if (!internal::ReadManifest(reader, snapshot.manifest_)) {
+    if (!ReadManifest(reader, snapshot.manifest_)) {
       return corrupt("corrupt snapshot manifest");
     }
-    const uint32_t storage = reader.ReadU32();
-    if (!reader.ok() || reader.remaining() != 0 ||
-        storage > static_cast<uint32_t>(StorageKind::kInt8)) {
-      return corrupt("corrupt snapshot manifest");
-    }
-    snapshot.manifest_.storage = static_cast<StorageKind>(storage);
   }
   const SnapshotManifest& manifest = snapshot.manifest_;
   if (manifest.storage == StorageKind::kInt8 &&
@@ -306,8 +363,7 @@ Result<Snapshot> Snapshot::LoadFromV2(const std::string& path,
   const uint64_t f32_len = rows * dim * sizeof(float);
   const char* f32 = require(kSecCorpusF32, f32_len);
   if (f32 == nullptr) return corrupt("missing or misshapen corpus section");
-  // Same injection site the v1 index loaders check, so fault drills cover
-  // the mmap path too.
+  // A fire models a corrupt index payload behind valid checksums.
   const Status index_fp = fail::Check("index/load");
   if (!index_fp.ok()) return index_fp;
   la::Matrix corpus = la::Matrix::View(
@@ -391,8 +447,12 @@ Result<Snapshot> Snapshot::LoadFromV2(const std::string& path,
 
   // The indexes now hold raw views into the mapping; pin it for the life
   // of every copy of this snapshot.
-  snapshot.mapping_ = std::make_shared<MmapFile>(std::move(file));
+  snapshot.mapping_ = std::make_shared<MmapFile>(std::move(file.value()));
   snapshot.bytes_mapped_ = size;
+  snapshot.load_micros_ = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
   return snapshot;
 }
 

@@ -4,13 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <set>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/rng.h"
 #include "proptest.h"
 #include "index/hnsw_index.h"
@@ -472,88 +469,97 @@ TEST(LshIndexTest, ReturnsKExactRankedCandidates) {
   }
 }
 
-/// Serializes `built`, restores it into a fresh index, and asserts the
-/// reloaded index answers QueryBatch bit-identically (ids AND distances).
-template <typename Index>
-void ExpectRoundTripIdentical(const Index& built, const la::Matrix& queries,
-                              size_t k) {
-  BinaryWriter writer;
-  built.Save(writer);
-  BinaryReader reader(writer.buffer());
-  Index reloaded;
-  ASSERT_TRUE(reloaded.Load(reader));
-  EXPECT_TRUE(reader.ok());
-  EXPECT_EQ(reader.remaining(), 0u);
-  ASSERT_EQ(reloaded.size(), built.size());
-  const auto before = built.QueryBatch(queries, k);
-  const auto after = reloaded.QueryBatch(queries, k);
-  ASSERT_EQ(before.size(), after.size());
-  for (size_t q = 0; q < before.size(); ++q) {
-    ASSERT_EQ(before[q].size(), after[q].size()) << "query " << q;
-    for (size_t i = 0; i < before[q].size(); ++i) {
-      EXPECT_EQ(before[q][i].id, after[q][i].id) << "query " << q;
-      EXPECT_EQ(before[q][i].distance, after[q][i].distance) << "query " << q;
+TEST(HnswIndexTest, AttachFlatRejectsEachBrokenGraphInvariant) {
+  // AttachFlat is the only guard on mmap'ed graph bytes when a snapshot is
+  // loaded without its checksum, so every invariant the search relies on
+  // is broken one at a time on a valid Flatten() image. Each broken input
+  // must be refused and must leave the (previously attached) index empty.
+  HnswIndex built;
+  built.Build(RandomUnitRows(200, 16, 25));
+  const HnswIndex::FlatGraph pristine = built.Flatten();
+  const uint32_t rows = static_cast<uint32_t>(built.size());
+  ASSERT_GE(built.max_level(), 1u);
+  // A node with links on level 1, and a node that exists only on level 0.
+  uint32_t upper = rows, ground = rows;
+  for (uint32_t node = 0; node < rows; ++node) {
+    const uint64_t list = pristine.entry_base[node] + 1;
+    if (upper == rows && pristine.levels[node] >= 2 &&
+        pristine.starts[list + 1] > pristine.starts[list]) {
+      upper = node;
+    }
+    if (ground == rows && pristine.levels[node] == 1) ground = node;
+  }
+  ASSERT_LT(upper, rows);
+  ASSERT_LT(ground, rows);
+
+  struct Input {
+    HnswIndex::FlatGraph flat;
+    uint32_t entry;
+    size_t max_level;
+  };
+  const auto attach = [&](HnswIndex& index, const Input& in) {
+    return index.AttachFlat(
+        la::Matrix::View(built.data().data(), rows, built.data().cols()),
+        built.options(), in.entry, in.max_level, in.flat.levels.data(),
+        in.flat.entry_base.data(), in.flat.starts.data(),
+        in.flat.starts.size(), in.flat.adj.data(), in.flat.adj.size());
+  };
+  const Input valid{pristine, built.entry(), built.max_level()};
+
+  // Control: the pristine image attaches and answers bit-identically.
+  HnswIndex control;
+  ASSERT_TRUE(attach(control, valid));
+  const la::Matrix queries = RandomUnitRows(8, 16, 26);
+  const auto expected = built.QueryBatch(queries, 5);
+  const auto actual = control.QueryBatch(queries, 5);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    ASSERT_EQ(expected[q].size(), actual[q].size());
+    for (size_t i = 0; i < expected[q].size(); ++i) {
+      EXPECT_EQ(expected[q][i].id, actual[q][i].id);
+      EXPECT_EQ(expected[q][i].distance, actual[q][i].distance);
     }
   }
-}
 
-template <typename Index>
-void RoundTripAllSizes(uint64_t seed) {
-  const la::Matrix queries = RandomUnitRows(16, 24, seed);
-  for (const size_t rows : {size_t{0}, size_t{1}, size_t{200}}) {
-    Index built;
-    built.Build(RandomUnitRows(rows, 24, seed + rows));
-    ExpectRoundTripIdentical(built, queries, 5);
+  std::vector<std::pair<const char*, Input>> broken;
+  const auto add = [&](const char* what, const auto& mutate) {
+    Input in = valid;
+    mutate(in);
+    broken.emplace_back(what, std::move(in));
+  };
+  add("link target >= rows", [&](Input& in) { in.flat.adj[0] = rows; });
+  add("link to a node without that level", [&](Input& in) {
+    in.flat.adj[in.flat.starts[in.flat.entry_base[upper] + 1]] = ground;
+  });
+  add("level count 0", [](Input& in) { in.flat.levels[3] = 0; });
+  add("level count above 64", [](Input& in) {
+    // Node 3 gains empty lists up to 65 levels with the prefix sums and
+    // offsets kept consistent, so only the level ceiling can refuse it.
+    const uint32_t extra = 65 - in.flat.levels[3];
+    const uint64_t next = in.flat.entry_base[4];
+    in.flat.starts.insert(in.flat.starts.begin() + next, extra,
+                          in.flat.starts[next]);
+    in.flat.levels[3] = 65;
+    for (size_t n = 4; n < in.flat.entry_base.size(); ++n) {
+      in.flat.entry_base[n] += extra;
+    }
+  });
+  add("non-monotone starts",
+      [](Input& in) { in.flat.starts[1] = in.flat.starts[2] + 1; });
+  add("starts not ending at adj size",
+      [](Input& in) { in.flat.starts.back() -= 1; });
+  add("entry_base[0] != 0", [](Input& in) { in.flat.entry_base[0] = 1; });
+  add("entry_base not the prefix sum of levels",
+      [](Input& in) { in.flat.entry_base[5] += 1; });
+  add("entry point out of range", [&](Input& in) { in.entry = rows; });
+  add("entry point below max_level", [&](Input& in) { in.entry = ground; });
+
+  for (const auto& [what, in] : broken) {
+    HnswIndex index;
+    ASSERT_TRUE(attach(index, valid)) << what;
+    EXPECT_FALSE(attach(index, in)) << what;
+    EXPECT_EQ(index.size(), 0u) << what;
+    EXPECT_EQ(index.data().cols(), 0u) << what;
   }
-}
-
-TEST(IndexSerializationTest, ExactRoundTripBitIdentical) {
-  RoundTripAllSizes<ExactIndex>(21);
-}
-
-TEST(IndexSerializationTest, HnswRoundTripBitIdentical) {
-  RoundTripAllSizes<HnswIndex>(22);
-}
-
-TEST(IndexSerializationTest, LshRoundTripBitIdentical) {
-  RoundTripAllSizes<LshIndex>(23);
-}
-
-TEST(IndexSerializationTest, TruncatedPayloadFailsClosed) {
-  // Any prefix of a valid image must be rejected without crashing and
-  // leave the target index empty. (Bit flips are caught one level up by
-  // the snapshot container checksum; structural truncation is the index
-  // loader's own job.)
-  HnswIndex built;
-  built.Build(RandomUnitRows(60, 16, 24));
-  BinaryWriter writer;
-  built.Save(writer);
-  const std::string& image = writer.buffer();
-  for (size_t len = 0; len < image.size(); len += 97) {
-    BinaryReader reader(std::string_view(image.data(), len));
-    HnswIndex reloaded;
-    EXPECT_FALSE(reloaded.Load(reader)) << "prefix " << len;
-    EXPECT_FALSE(reader.ok()) << "prefix " << len;
-    EXPECT_EQ(reloaded.size(), 0u) << "prefix " << len;
-  }
-}
-
-TEST(IndexSerializationTest, HnswRejectsDanglingLinks) {
-  // Corrupt a link target to an out-of-range id: the loader must refuse
-  // rather than hand the search path an out-of-bounds neighbor.
-  HnswIndex built;
-  built.Build(RandomUnitRows(50, 8, 25));
-  BinaryWriter writer;
-  built.Save(writer);
-  std::string image = writer.buffer();
-  // The last WritePodVector in the image is a neighbor list; smash 4
-  // trailing bytes (one stored id) to a huge value.
-  ASSERT_GE(image.size(), 4u);
-  const uint32_t bogus = 0x7fffffff;
-  std::memcpy(image.data() + image.size() - 4, &bogus, 4);
-  BinaryReader reader(image);
-  HnswIndex reloaded;
-  EXPECT_FALSE(reloaded.Load(reader));
 }
 
 TEST(OverlapBlockerTest, RanksSharedRareTokensFirst) {

@@ -196,10 +196,9 @@ INSTANTIATE_TEST_SUITE_P(AllIndexKinds, SnapshotKindTest,
 // pristine image must still load (so the rejections are real detections,
 // not an unrelated I/O problem).
 void SweepTruncationsAndBitFlips(const Snapshot& built,
-                                 SnapshotFormat format,
                                  const std::string& tag) {
   const std::string path = TempPath("corruption_" + tag);
-  ASSERT_TRUE(built.SaveTo(path, format).ok());
+  ASSERT_TRUE(built.SaveTo(path).ok());
   std::string image;
   {
     std::ifstream in(path, std::ios::binary);
@@ -241,66 +240,80 @@ void SweepTruncationsAndBitFlips(const Snapshot& built,
 }
 
 TEST(SnapshotCorruptionTest, TruncationAndBitFlipsFailClosed) {
-  // EMBS0002 is the default format, so this drives the mmap loader.
-  SweepTruncationsAndBitFlips(MakeSnapshot(IndexKind::kHnsw, 80),
-                              SnapshotFormat::kV2, "v2_hnsw");
-}
-
-TEST(SnapshotCorruptionTest, LegacyV1SweepStillFailsClosed) {
-  SweepTruncationsAndBitFlips(MakeSnapshot(IndexKind::kHnsw, 80),
-                              SnapshotFormat::kV1, "v1_hnsw");
+  SweepTruncationsAndBitFlips(MakeSnapshot(IndexKind::kHnsw, 80), "v2_hnsw");
 }
 
 TEST(SnapshotCorruptionTest, QuantizedV2SweepFailsClosed) {
   Snapshot built = MakeSnapshot(IndexKind::kExact, 80);
   ASSERT_TRUE(built.Quantize().ok());
-  SweepTruncationsAndBitFlips(built, SnapshotFormat::kV2, "v2_int8");
+  SweepTruncationsAndBitFlips(built, "v2_int8");
 }
 
-TEST(SnapshotFormatTest, V2LoadIsBitIdenticalToV1AndConvertsBothWays) {
+TEST(SnapshotCorruptionTest, LegacyEmbs0001FileIsRefused) {
+  // The retired heap format is refused by its magic alone: neither the bare
+  // magic nor a legacy magic in front of an otherwise valid image loads.
+  const std::string path = TempPath("legacy_magic");
+  ASSERT_TRUE(MakeSnapshot(IndexKind::kExact, 20).SaveTo(path).ok());
+  std::string image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    image = buffer.str();
+  }
+  for (const std::string& bytes :
+       {std::string("EMBS0001"), "EMBS0001" + image.substr(8)}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto loaded = Snapshot::LoadFrom(path);
+    ASSERT_FALSE(loaded.ok()) << bytes.size() << " bytes";
+    EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotContainerTest, LoadMatchesBuildAndResavesSameBytes) {
   HashModel model;
   model.Initialize();
   const la::Matrix queries = model.VectorizeAll(Sentences(25, "query"));
   for (const IndexKind kind :
        {IndexKind::kExact, IndexKind::kHnsw, IndexKind::kLsh}) {
     const Snapshot built = MakeSnapshot(kind, 90);
-    const std::string v1_path = TempPath("fmt_v1");
-    const std::string v2_path = TempPath("fmt_v2");
-    ASSERT_TRUE(built.SaveTo(v1_path, SnapshotFormat::kV1).ok());
-    ASSERT_TRUE(built.SaveTo(v2_path, SnapshotFormat::kV2).ok());
-    auto v1 = Snapshot::LoadFrom(v1_path);
-    auto v2 = Snapshot::LoadFrom(v2_path);
-    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+    const std::string path = TempPath("fmt_saved");
+    ASSERT_TRUE(built.SaveTo(path).ok());
+    auto loaded = Snapshot::LoadFrom(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-    // The heap loader is the compatibility oracle: the mmap'ed container
-    // must answer every query bit-identically.
-    ExpectSameResults(v1.value().QueryBatch(queries, 5),
-                      v2.value().QueryBatch(queries, 5));
+    // The freshly built snapshot is the oracle: the mmap'ed container must
+    // answer every query bit-identically.
+    ExpectSameResults(built.QueryBatch(queries, 5),
+                      loaded.value().QueryBatch(queries, 5));
 
-    // Provenance metrics: v2 maps the file, v1 copies onto the heap.
-    EXPECT_GT(v2.value().bytes_mapped(), 0u) << IndexKindName(kind);
-    EXPECT_EQ(v1.value().bytes_mapped(), 0u);
-    EXPECT_GT(v2.value().load_micros(), 0u);
+    // Provenance metrics: a loaded snapshot maps the file and times the
+    // load; a built one maps nothing.
+    EXPECT_GT(loaded.value().bytes_mapped(), 0u) << IndexKindName(kind);
+    EXPECT_GT(loaded.value().load_micros(), 0u) << IndexKindName(kind);
+    EXPECT_EQ(built.bytes_mapped(), 0u);
 
-    // Conversion oracle both directions: a v2-loaded (mmap-backed)
-    // snapshot re-saved as v1 must be byte-identical to the direct v1
-    // save, so EMBS0001 <-> EMBS0002 round trips lose nothing.
-    const std::string back_path = TempPath("fmt_v1_back");
-    ASSERT_TRUE(v2.value().SaveTo(back_path, SnapshotFormat::kV1).ok());
-    std::ifstream a(v1_path, std::ios::binary), b(back_path, std::ios::binary);
+    // Re-saving the mmap-backed snapshot (what snapshot-convert does)
+    // reproduces the original file byte for byte.
+    const std::string back_path = TempPath("fmt_resaved");
+    ASSERT_TRUE(loaded.value().SaveTo(back_path).ok());
+    std::ifstream a(path, std::ios::binary), b(back_path, std::ios::binary);
     std::stringstream sa, sb;
     sa << a.rdbuf();
     sb << b.rdbuf();
     EXPECT_EQ(sa.str(), sb.str()) << IndexKindName(kind);
 
-    std::filesystem::remove(v1_path);
-    std::filesystem::remove(v2_path);
+    std::filesystem::remove(path);
     std::filesystem::remove(back_path);
   }
 }
 
-TEST(SnapshotFormatTest, TrustedLoadSkipsPayloadChecksumButKeepsBounds) {
+TEST(SnapshotContainerTest, TrustedLoadSkipsPayloadChecksumButKeepsBounds) {
   const Snapshot built = MakeSnapshot(IndexKind::kExact, 60);
   const std::string path = TempPath("fmt_trusted");
   ASSERT_TRUE(built.SaveTo(path).ok());
@@ -338,12 +351,7 @@ TEST(SnapshotQuantizedTest, Int8SnapshotRoundTripsAndMatchesInMemory) {
   EXPECT_EQ(built.manifest().storage, StorageKind::kInt8);
   ASSERT_TRUE(built.Validate().ok());
 
-  // EMBS0001 has no section for the quantized tier; the save must refuse
-  // rather than silently drop it.
   const std::string path = TempPath("quantized");
-  EXPECT_EQ(built.SaveTo(path, SnapshotFormat::kV1).code(),
-            Status::Code::kInvalidArgument);
-
   ASSERT_TRUE(built.SaveTo(path).ok());
   auto loaded = Snapshot::LoadFrom(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

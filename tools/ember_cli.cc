@@ -27,11 +27,9 @@
 //       Run the same workload with tracing enabled and write the span
 //       stream as Chrome trace_event JSON (default trace.json), plus a
 //       per-stage time breakdown on stdout.
-//   ember_cli snapshot-convert <in> <out> [--quantize int8] [--to v1|v2]
-//       Re-encode a snapshot between container formats: EMBS0001 (heap
-//       stream) <-> EMBS0002 (mmap-able sections), optionally building the
-//       int8 scan tier for exact snapshots (--quantize int8 forces --to
-//       v2, the only container that can carry it).
+//   ember_cli snapshot-convert <in> <out> [--quantize int8]
+//       Load a snapshot (fail-closed) and re-save it, optionally building
+//       the int8 scan tier for exact snapshots.
 //   ember_cli stream-dedup <D1..D10> [--scale f] [--seed n] [--k n]
 //       [--threshold t] [--report n] [--compact-rows n] [--snapshot path]
 //       Streaming ER against a live corpus (DESIGN.md §14): start from an
@@ -131,8 +129,7 @@ int Usage(const char* argv0) {
                "[--scale f] [--seed n] [--k n] [--index exact|hnsw|lsh]\n"
                "       %s trace-dump <D1..D10> [--out path] [--requests n] "
                "[--scale f] [--seed n] [--k n] [--index exact|hnsw|lsh]\n"
-               "       %s snapshot-convert <in> <out> [--quantize int8] "
-               "[--to v1|v2]\n"
+               "       %s snapshot-convert <in> <out> [--quantize int8]\n"
                "       %s stream-dedup <D1..D10> [--scale f] [--seed n] "
                "[--k n] [--threshold t] [--report n] [--compact-rows n] "
                "[--snapshot path]\n"
@@ -1561,13 +1558,10 @@ int RunSnapshotConvert(int argc, char** argv) {
   const std::string in_path = argv[2];
   const std::string out_path = argv[3];
   std::string quantize;
-  std::string to = "v2";
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quantize" && i + 1 < argc) {
       quantize = argv[++i];
-    } else if (arg == "--to" && i + 1 < argc) {
-      to = argv[++i];
     } else {
       return Usage(argv[0]);
     }
@@ -1577,14 +1571,6 @@ int RunSnapshotConvert(int argc, char** argv) {
                  quantize.c_str());
     return 2;
   }
-  serve::SnapshotFormat format = serve::SnapshotFormat::kV2;
-  if (to == "v1") {
-    format = serve::SnapshotFormat::kV1;
-  } else if (to != "v2") {
-    std::fprintf(stderr, "--to must be v1 or v2, not '%s'\n", to.c_str());
-    return 2;
-  }
-
   WallTimer timer;
   auto loaded = serve::Snapshot::LoadFrom(in_path);
   if (!loaded.ok()) {
@@ -1600,23 +1586,20 @@ int RunSnapshotConvert(int argc, char** argv) {
       return 1;
     }
   }
-  const Status saved = snapshot.SaveTo(out_path, format);
+  const Status saved = snapshot.SaveTo(out_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
     return 1;
   }
   const serve::SnapshotManifest& manifest = snapshot.manifest();
-  std::printf("converted %s -> %s (%s)\n", in_path.c_str(), out_path.c_str(),
-              format == serve::SnapshotFormat::kV2 ? "EMBS0002" : "EMBS0001");
+  std::printf("converted %s -> %s\n", in_path.c_str(), out_path.c_str());
   std::printf("  kind=%s storage=%s rows=%llu dim=%u dataset=%s\n",
               IndexKindName(manifest.kind),
               serve::StorageKindName(manifest.storage),
               static_cast<unsigned long long>(manifest.rows), manifest.dim,
               manifest.dataset.c_str());
-  std::printf("  load %.1f ms (%s) + convert/save %.1f ms\n",
-              load_seconds * 1e3,
-              snapshot.bytes_mapped() > 0 ? "mmap" : "heap",
-              timer.Seconds() * 1e3);
+  std::printf("  load %.1f ms (mmap) + convert/save %.1f ms\n",
+              load_seconds * 1e3, timer.Seconds() * 1e3);
   return 0;
 }
 
