@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                                : "Figure 13(b) — vectorization time",
                            labels);
     chart.set_log_y(true);
-    for (const std::string& code : {"S5", "FT", "GE", "WC", "XT", "SM"}) {
+    for (const char* code : {"S5", "FT", "GE", "WC", "XT", "SM"}) {
       if (series.find(code) == series.end()) continue;
       eval::ChartSeries line;
       line.label = code;

@@ -9,13 +9,15 @@
 //       while the verified open grows with the file (one linear checksum
 //       pass that also pages the file in).
 //   (b) scan throughput: float GemmBt scan vs int8 GemmBtI8Strided scan +
-//       float rescore, same snapshot, same queries, k=10.
+//       float rescore, same snapshot, same queries, k=10; each side is the
+//       median of 7 timed scans after one warm-up.
 //   (c) quality: recall@10 of the rescored int8 scan against the float
 //       oracle (BruteForceTopK), which the rescore must keep ~1.0.
 //
 // Artifacts: exp25_cold_start.csv and exp25_quantized_scan.csv under
 // bench_artifacts/.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -88,6 +90,22 @@ LoadPoint MeasureLoad(const std::string& path,
   return point;
 }
 
+/// Median wall seconds of `repeats` timed runs of `scan`, after one untimed
+/// warm-up run (the first scan also pays page faults and the thread pool's
+/// start-up). The median keeps one descheduled run from setting the speedup.
+template <class Scan>
+double MedianSeconds(const Scan& scan, size_t repeats = 7) {
+  scan();
+  std::vector<double> seconds;
+  for (size_t i = 0; i < repeats; ++i) {
+    WallTimer timer;
+    scan();
+    seconds.push_back(timer.Seconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[repeats / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,14 +160,13 @@ int main(int argc, char** argv) {
 
   index::ExactIndex fp32;
   fp32.Build(corpus);
-  WallTimer timer;
-  const auto float_results = fp32.QueryBatch(queries, kTopK);
-  const double float_seconds = timer.Restart();
+  std::vector<std::vector<index::Neighbor>> float_results, i8_results;
+  const double float_seconds = MedianSeconds(
+      [&] { float_results = fp32.QueryBatch(queries, kTopK); });
 
   fp32.Quantize();
-  timer.Restart();
-  const auto i8_results = fp32.QueryBatch(queries, kTopK);
-  const double i8_seconds = timer.Seconds();
+  const double i8_seconds =
+      MedianSeconds([&] { i8_results = fp32.QueryBatch(queries, kTopK); });
 
   size_t hits = 0, total = 0;
   for (size_t q = 0; q < kQueries; ++q) {

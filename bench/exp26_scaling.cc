@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
       router->replicas(0)[r]->Stop();
     }
     constexpr size_t kRequests = 200;
-    std::vector<std::future<Result<serve::RouterReply>>> futures;
+    std::vector<std::future<Result<serve::QueryReply>>> futures;
     size_t refused = 0;
     for (size_t i = 0; i < kRequests; ++i) {
       auto submitted = router->Submit(queries[i % queries.size()]);

@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
                             /*log_capacity=*/4096);
     const auto total = static_cast<size_t>(kQps * kSeconds + 0.5);
     const size_t kill_at = total / 3, rejoin_at = (2 * total) / 3;
-    std::vector<std::future<Result<serve::RouterReply>>> futures;
+    std::vector<std::future<Result<serve::QueryReply>>> futures;
     futures.reserve(total);
     const SteadyTime start = SteadyNow();
     for (size_t i = 0; i < total; ++i) {

@@ -230,6 +230,11 @@ grep -q '^  default ' /tmp/ember_router_admission.out \
 ./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --shards 2 \
   --trace-file /tmp/ember_a.trace >/dev/null 2>&1 \
   && { echo "sharded serve-bench accepted --trace-file" >&2; exit 1; }
+# A drill needs a replica to fail over to: --kill-replica without
+# --replicas must be refused, not silently ignored.
+./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --qps 20 \
+  --duration 1 --kill-replica 0:0 >/dev/null 2>&1 \
+  && { echo "serve-bench ignored --kill-replica without --replicas" >&2; exit 1; }
 
 echo "==> recovery drill smoke (Release): kill/rejoin through the CLI"
 # A replica killed at t/3 and rejoined at 2t/3 under query + upsert load
@@ -297,6 +302,16 @@ echo "==> serve CLI smoke (Release)"
   --duration 1 --snapshot build-release/d2_smoke.snap
 ./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --qps 50 \
   --duration 1 --snapshot build-release/d2_smoke.snap
+# A corrupt snapshot is refused, never silently rebuilt over: flip one
+# payload byte of a copy and the single-engine run must exit nonzero.
+python3 - <<'PYEOF'
+image = bytearray(open("build-release/d2_smoke.snap", "rb").read())
+image[len(image) // 2] ^= 0x01
+open("build-release/d2_smoke_flipped.snap", "wb").write(image)
+PYEOF
+./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --qps 50 \
+  --duration 1 --snapshot build-release/d2_smoke_flipped.snap >/dev/null 2>&1 \
+  && { echo "serve-bench served a corrupt snapshot" >&2; exit 1; }
 
 echo "==> snapshot-convert + quantized mmap serving (Release)"
 # Build the int8 tier offline and serve from the mmap'ed quantized
@@ -331,6 +346,12 @@ grep -q 'bit-identical to the unsharded oracle' /tmp/ember_shard.out
   --snapshot build-release/d2_shards > /tmp/ember_router.out
 grep -q 'shard set: loaded 4 shards' /tmp/ember_router.out
 grep -q 'routed queries match the shard merge' /tmp/ember_router.out
+# --storage int8 quantizes a loaded set too, not only a freshly built one.
+./build-release/tools/ember_cli serve-bench D2 --scale 0.05 --qps 50 \
+  --duration 1 --shards 4 --storage int8 \
+  --snapshot build-release/d2_shards > /tmp/ember_router_i8.out
+grep -q 'storage=int8' /tmp/ember_router_i8.out \
+  || { echo "loaded shard set was not served with int8 storage" >&2; exit 1; }
 # Fail-closed: duplicating one shard file makes the set incoherent
 # (duplicate shard_id), and the router must refuse to serve from it.
 cp build-release/d2_shards.s0-of-4.snap build-release/d2_shards.s1-of-4.snap

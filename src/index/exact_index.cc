@@ -80,18 +80,21 @@ void ExactIndex::Build(la::Matrix data) {
   span.AddCount("rows", data.rows());
   data_ = std::move(data);
   quantized_ = la::QuantizedMatrix();
+  has_quantized_ = false;
 }
 
 void ExactIndex::Quantize() {
   obs::Span span("index/exact_quantize");
   span.AddCount("rows", data_.rows());
   quantized_ = la::QuantizedMatrix::Quantize(data_);
+  has_quantized_ = true;
 }
 
 void ExactIndex::AttachQuantized(la::QuantizedMatrix quantized) {
   EMBER_CHECK(quantized.rows() == data_.rows() &&
               quantized.cols() == data_.cols());
   quantized_ = std::move(quantized);
+  has_quantized_ = true;
 }
 
 std::vector<Neighbor> ExactIndex::Query(const float* query, size_t k) const {

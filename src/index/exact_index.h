@@ -47,7 +47,9 @@ class ExactIndex {
   /// Shape must match the indexed data; the caller keeps view storage alive.
   void AttachQuantized(la::QuantizedMatrix quantized);
 
-  bool quantized() const { return !quantized_.empty(); }
+  /// True once Quantize or AttachQuantized ran, also over 0 rows (an empty
+  /// tier is still a tier: an int8 manifest needs one to save and validate).
+  bool quantized() const { return has_quantized_; }
   const la::QuantizedMatrix& quantized_matrix() const { return quantized_; }
 
   /// Top-k by ascending cosine distance, ties by ascending id. Returns
@@ -65,6 +67,7 @@ class ExactIndex {
 
   la::Matrix data_;
   la::QuantizedMatrix quantized_;
+  bool has_quantized_ = false;
 };
 
 }  // namespace ember::index

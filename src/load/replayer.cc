@@ -114,10 +114,13 @@ Result<ReplayReport> Replay(const Trace& trace,
   std::vector<std::unordered_map<uint64_t, uint64_t>> upsert_ids(
       report.per_tenant.size());
   // kTimed defers upsert futures until a delete needs the id (blocking the
-  // open loop on every mutation would serialize the workload).
+  // open loop on every mutation would serialize the workload), and delete
+  // futures until the final drain.
   std::vector<
       std::unordered_map<uint64_t, std::future<Result<serve::MutateReply>>>>
       pending_upserts(report.per_tenant.size());
+  std::vector<std::pair<size_t, std::future<Result<serve::MutateReply>>>>
+      pending_deletes;
 
   std::deque<Outstanding> outstanding;
   uint64_t digest = 0x2545f4914f6cdd1dULL;
@@ -126,13 +129,13 @@ Result<ReplayReport> Replay(const Trace& trace,
                                             static_cast<uint64_t>(decision)));
   };
 
-  auto settle_query = [&](Outstanding pending) {
-    Result<serve::QueryReply> reply = pending.future.get();
-    TenantReplay& tenant = report.per_tenant[pending.tenant];
-    if (reply.ok()) {
+  // Counts one settled future as completed, expired or failed.
+  auto settle = [&](size_t tenant_index, const Status& status) {
+    TenantReplay& tenant = report.per_tenant[tenant_index];
+    if (status.ok()) {
       report.completed++;
       tenant.completed++;
-    } else if (reply.status().code() == Status::Code::kDeadlineExceeded) {
+    } else if (status.code() == Status::Code::kDeadlineExceeded) {
       report.expired++;
       tenant.expired++;
     } else {
@@ -140,20 +143,13 @@ Result<ReplayReport> Replay(const Trace& trace,
       tenant.failed++;
     }
   };
-  auto settle_mutation = [&](size_t tenant_index,
-                             Result<serve::MutateReply> reply, uint64_t key) {
-    TenantReplay& tenant = report.per_tenant[tenant_index];
-    if (reply.ok()) {
-      report.completed++;
-      tenant.completed++;
-      upsert_ids[tenant_index][key] = reply.value().id;
-    } else if (reply.status().code() == Status::Code::kDeadlineExceeded) {
-      report.expired++;
-      tenant.expired++;
-    } else {
-      report.failed++;
-      tenant.failed++;
-    }
+  auto settle_query = [&](Outstanding pending) {
+    settle(pending.tenant, pending.future.get().status());
+  };
+  auto settle_upsert = [&](size_t tenant_index,
+                           Result<serve::MutateReply> reply, uint64_t key) {
+    settle(tenant_index, reply.status());
+    if (reply.ok()) upsert_ids[tenant_index][key] = reply.value().id;
   };
   // Resolves the pending upsert for `key` (the kTimed lazy path) so a
   // following delete can look up the id it was assigned.
@@ -162,7 +158,7 @@ Result<ReplayReport> Replay(const Trace& trace,
     if (it == pending_upserts[tenant_index].end()) return;
     Result<serve::MutateReply> reply = it->second.get();
     pending_upserts[tenant_index].erase(it);
-    settle_mutation(tenant_index, std::move(reply), key);
+    settle_upsert(tenant_index, std::move(reply), key);
   };
 
   WallTimer timer;
@@ -247,7 +243,7 @@ Result<ReplayReport> Replay(const Trace& trace,
           if (virtual_mode) {
             // Block in trace order: replica id assignment then depends only
             // on the admitted-upsert sequence, never on scheduling.
-            settle_mutation(tenant_index, submitted.value().get(), event.key);
+            settle_upsert(tenant_index, submitted.value().get(), event.key);
           } else {
             pending_upserts[tenant_index][event.key] =
                 std::move(submitted.value());
@@ -274,22 +270,10 @@ Result<ReplayReport> Replay(const Trace& trace,
         record_decision(submitted.status());
         if (submitted.ok()) {
           if (virtual_mode) {
-            Result<serve::MutateReply> reply = submitted.value().get();
-            TenantReplay& t = report.per_tenant[tenant_index];
-            if (reply.ok()) {
-              report.completed++;
-              t.completed++;
-            } else if (reply.status().code() ==
-                       Status::Code::kDeadlineExceeded) {
-              report.expired++;
-              t.expired++;
-            } else {
-              report.failed++;
-              t.failed++;
-            }
+            settle(tenant_index, submitted.value().get().status());
           } else {
-            pending_upserts[tenant_index][~event.key] =
-                std::move(submitted.value());
+            pending_deletes.emplace_back(tenant_index,
+                                         std::move(submitted.value()));
           }
         }
         break;
@@ -306,9 +290,12 @@ Result<ReplayReport> Replay(const Trace& trace,
   }
   for (size_t t = 0; t < pending_upserts.size(); ++t) {
     for (auto& [key, future] : pending_upserts[t]) {
-      settle_mutation(t, future.get(), key);
+      settle_upsert(t, future.get(), key);
     }
     pending_upserts[t].clear();
+  }
+  for (auto& [tenant_index, future] : pending_deletes) {
+    settle(tenant_index, future.get().status());
   }
 
   report.admission_digest = digest;

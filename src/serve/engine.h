@@ -79,9 +79,13 @@ struct EngineOptions {
   std::vector<TenantQuota> quotas;
 };
 
-/// A completed query: top-k corpus neighbors of the submitted record.
+/// A completed query: top-k corpus neighbors of the submitted record, from
+/// an Engine or a Router. `partial` is set only by a Router, when at least
+/// one shard group contributed nothing (every replica down) and the router
+/// was configured to degrade rather than fail.
 struct QueryReply {
   std::vector<index::Neighbor> neighbors;
+  bool partial = false;
 };
 
 /// A completed mutation: the global id the row was admitted (or deleted)

@@ -396,7 +396,7 @@ void Router::Stop() {
   }
 }
 
-Result<std::future<Result<RouterReply>>> Router::Submit(
+Result<std::future<Result<QueryReply>>> Router::Submit(
     std::string record, const SubmitOptions& opts) {
   Status admitted = batcher_.Admit(opts.tenant, opts.admit_time);
   if (!admitted.ok()) return admitted;
@@ -404,7 +404,7 @@ Result<std::future<Result<RouterReply>>> Router::Submit(
   request.record = std::move(record);
   request.deadline = opts.deadline;
   request.tenant = opts.tenant;
-  std::future<Result<RouterReply>> future = request.promise.get_future();
+  std::future<Result<QueryReply>> future = request.promise.get_future();
   Status pushed = batcher_.Push(std::move(request));
   if (!pushed.ok()) return pushed;
   return future;
@@ -1135,7 +1135,7 @@ void Router::ProcessBatch(std::vector<Request>& live, const BatchInfo& batch) {
             std::to_string(missing) + " shard group(s) down"));
         continue;
       }
-      RouterReply reply;
+      QueryReply reply;
       reply.neighbors = MergeTopK(lists[i], k_);
       reply.partial = missing > 0;
       if (reply.partial) partial_.fetch_add(1, std::memory_order_relaxed);

@@ -67,7 +67,7 @@ struct RouterOptions {
   /// Retry policy around the router's embed-once stage.
   RetryPolicy embed_retry;
   /// When a whole shard group is down, complete requests from the surviving
-  /// shards with RouterReply.partial=true instead of failing them. OFF
+  /// shards with QueryReply.partial=true instead of failing them. OFF
   /// fails such requests with Unavailable.
   bool allow_partial = true;
   /// Recovery worker cadence (DESIGN.md §15): every tick it quarantines
@@ -108,13 +108,8 @@ enum class ReplicaState : uint32_t {
 
 const char* ReplicaStateName(ReplicaState state);
 
-/// A merged scatter-gather answer. `partial` is true when at least one
-/// shard group contributed nothing (every replica down) and the router was
-/// configured to degrade rather than fail.
-struct RouterReply {
-  std::vector<index::Neighbor> neighbors;
-  bool partial = false;
-};
+/// Former name of the router's reply, which is now QueryReply.
+using RouterReply = QueryReply;
 
 /// The batcher's counters (BatcherMetrics: the counter identity, rejected,
 /// throttled, queue/total/batch-size histograms, per-tenant rows) plus the
@@ -191,7 +186,7 @@ class Router {
   /// minus the breaker (DESIGN.md §9): the tenant's token bucket (over
   /// quota: Unavailable, counted throttled), then the queue bound
   /// (Unavailable on a full queue or stopped router, never blocking).
-  Result<std::future<Result<RouterReply>>> Submit(
+  Result<std::future<Result<QueryReply>>> Submit(
       std::string record, const SubmitOptions& opts = {});
 
   /// Routes one upsert to its owning shard group (round-robin mutation
@@ -265,7 +260,7 @@ class Router {
  private:
   struct Request : QueuedRequest {
     std::string record;
-    std::promise<Result<RouterReply>> promise;
+    std::promise<Result<QueryReply>> promise;
 
     void Fail(const Status& status) { promise.set_value(status); }
   };

@@ -680,6 +680,48 @@ TEST_F(LoadTest, ReplayIsBitReproducibleAcrossRunsAndWorkerCounts) {
       });
 }
 
+TEST_F(LoadTest, TimedReplaySettlesEveryDeleteOfARepeatedKey) {
+  // Timed replay defers mutation futures. Two deletes of one key must both
+  // be settled, so every submitted event ends completed, expired or failed.
+  Trace trace;
+  trace.manifest.tenants.push_back({"t0", "unit-test", 0, 0});
+  const TraceEvent::Op ops[] = {TraceEvent::Op::kQuery,
+                                TraceEvent::Op::kDelete,
+                                TraceEvent::Op::kDelete,
+                                TraceEvent::Op::kDelete,
+                                TraceEvent::Op::kQuery};
+  int64_t arrival = 0;
+  for (const TraceEvent::Op op : ops) {
+    TraceEvent event;
+    event.op = op;
+    event.arrival_micros = arrival;
+    event.key = 3;
+    if (op == TraceEvent::Op::kQuery) event.record = "query about row 3";
+    trace.events.push_back(std::move(event));
+    arrival += 200;
+  }
+
+  EngineOptions options;
+  options.live = true;
+  auto engine =
+      Engine::Create(MakeSnapshot(16), std::make_shared<HashModel>(), options);
+  ASSERT_TRUE(engine.ok());
+  ReplayOptions replay_options;
+  replay_options.mode = ReplayOptions::Mode::kTimed;
+  const Result<ReplayReport> report =
+      load::Replay(trace, {engine.value().get()}, replay_options);
+  engine.value()->Stop();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ReplayReport& r = report.value();
+  EXPECT_EQ(r.deletes, 3u);
+  EXPECT_EQ(r.submitted, 5u);
+  EXPECT_EQ(r.completed + r.expired + r.failed, r.submitted);
+  ASSERT_EQ(r.per_tenant.size(), 1u);
+  const load::TenantReplay& tenant = r.per_tenant[0];
+  EXPECT_EQ(tenant.completed + tenant.expired + tenant.failed,
+            tenant.submitted);
+}
+
 // ---------------------------------------------------------------------------
 // Golden trace replay
 // ---------------------------------------------------------------------------

@@ -368,6 +368,34 @@ TEST(SnapshotQuantizedTest, Int8SnapshotRoundTripsAndMatchesInMemory) {
   std::filesystem::remove(path);
 }
 
+TEST(SnapshotQuantizedTest, EmptyInt8SnapshotSavesLoadsAndValidates) {
+  // A 0-row corpus still gets an (empty) int8 tier: an int8 live engine
+  // whose rows were all deleted must compact, and an empty shard of an
+  // int8 set must save.
+  Snapshot built = MakeSnapshot(IndexKind::kExact, 0);
+  ASSERT_TRUE(built.Quantize().ok());
+  EXPECT_EQ(built.manifest().storage, StorageKind::kInt8);
+  ASSERT_TRUE(built.Validate().ok());
+
+  const std::string path = TempPath("quantized_empty");
+  const Status saved = built.SaveTo(path);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  auto loaded = Snapshot::LoadFrom(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().manifest().storage, StorageKind::kInt8);
+  EXPECT_EQ(loaded.value().manifest().rows, 0u);
+  const Status valid = loaded.value().Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+
+  HashModel model;
+  model.Initialize();
+  const la::Matrix queries = model.VectorizeAll(Sentences(3, "query"));
+  for (const auto& neighbors : loaded.value().QueryBatch(queries, 5)) {
+    EXPECT_TRUE(neighbors.empty());
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(SnapshotQuantizedTest, QuantizeRejectsNonExactKinds) {
   Snapshot hnsw = MakeSnapshot(IndexKind::kHnsw, 20);
   EXPECT_EQ(hnsw.Quantize().code(), Status::Code::kInvalidArgument);

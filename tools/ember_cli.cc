@@ -9,14 +9,24 @@
 //       End-to-end blocking + matching with Unique Mapping Clustering.
 //   ember_cli serve-bench <D1..D10> [--scale f] [--seed n] [--k n]
 //       [--index exact|hnsw|lsh] [--storage f32|int8] [--snapshot path]
-//       [--qps n] [--duration s] [--batch n] [--wait-us n] [--queue n]
-//       [--deadline-ms f] [--workers n]
-//       Freeze the blocking pipeline into a snapshot (built, or loaded
-//       from --snapshot when the file exists), start the online serving
-//       engine, drive an open-loop load, and dump latency metrics.
-//       --trace <path> additionally records spans and writes a Chrome
-//       trace_event JSON (open it at ui.perfetto.dev); --metrics prints
-//       the Prometheus exposition of the metrics registry after the run.
+//       [--shards N] [--replicas R] [--qps n] [--duration s] [--batch n]
+//       [--wait-us n] [--queue n] [--deadline-ms f] [--workers n]
+//       [--tenants n] [--quota f] [--quota-burst f] [--policy edf|fifo]
+//       [--trace-file path] [--kill-replica s:r [--rejoin-replica]]
+//       [--trace path] [--metrics]
+//       Serve the dataset's corpus and drive an open-loop load (or, with
+//       --trace-file, a timed replay of a recorded EMBT0001 trace), then
+//       dump latency metrics. A 1x1 fleet is one bare engine; any other
+//       --shards x --replicas shape is a serve::Router over that many
+//       engines (health-aware scatter-gather). Only a router runs the
+//       --kill-replica drill; only one engine takes --trace-file.
+//       --snapshot (a shard-set prefix for N > 1 shards) is loaded
+//       fail-closed when its files exist, else built and saved. --tenants
+//       tags submissions round-robin, --quota arms per-tenant token
+//       buckets and --policy picks the drain order. --trace writes a
+//       Chrome trace_event JSON (open it at ui.perfetto.dev); --metrics
+//       prints the Prometheus exposition of the metrics registry after the
+//       run.
 //   ember_cli metrics-dump <D1..D10> [--json] [--requests n] [--scale f]
 //       [--seed n] [--k n] [--index exact|hnsw|lsh]
 //       Run a short closed-loop serve workload and print the global
@@ -63,19 +73,6 @@
 //       comparison); --timed submits on the recorded open-loop schedule
 //       with real deadlines and reports per-tenant latency.
 //
-//   serve-bench additionally accepts --shards N --replicas R: the corpus is
-//   served by a serve::Router over N shard groups x R replica engines
-//   (health-aware scatter-gather) instead of a single engine. --snapshot
-//   then names the shard-set prefix.
-//
-//   serve-bench also takes the workload/admission flags: --tenants n tags
-//   the open-loop submissions round-robin across n tenants, --quota f
-//   [--quota-burst f] arms a per-tenant token bucket at that rate, and
-//   --policy edf|fifo picks the queue drain order; on the sharded path they
-//   configure the router's batcher. --trace-file path drives a single
-//   engine from a recorded EMBT0001 trace (timed replay) instead of the
-//   synthetic query loop; it is refused with --shards/--replicas.
-//
 // When the build compiles failpoints in (the default), the EMBER_FAILPOINTS
 // environment variable arms fault-injection sites before any command runs;
 // see common/failpoint.h for the spec grammar.
@@ -84,6 +81,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -122,9 +120,13 @@ int Usage(const char* argv0) {
                "       %s serve-bench <D1..D10> [--scale f] [--seed n] "
                "[--k n] [--index exact|hnsw|lsh] [--storage f32|int8] "
                "[--snapshot path]\n"
-               "           [--qps n] [--duration s] [--batch n] [--wait-us n] "
-               "[--queue n] [--deadline-ms f] [--workers n]\n"
-               "           [--trace path] [--metrics]\n"
+               "           [--shards N] [--replicas R] [--qps n] "
+               "[--duration s] [--batch n] [--wait-us n] [--queue n] "
+               "[--deadline-ms f] [--workers n]\n"
+               "           [--tenants n] [--quota f] [--quota-burst f] "
+               "[--policy edf|fifo] [--trace-file path (1x1 only)]\n"
+               "           [--kill-replica s:r [--rejoin-replica]] "
+               "[--trace path] [--metrics]\n"
                "       %s metrics-dump <D1..D10> [--json] [--requests n] "
                "[--scale f] [--seed n] [--k n] [--index exact|hnsw|lsh]\n"
                "       %s trace-dump <D1..D10> [--out path] [--requests n] "
@@ -142,13 +144,7 @@ int Usage(const char* argv0) {
                "[--phases poisson,burst,diurnal,cold] [--notes s]\n"
                "       %s trace-replay <in.trace> [--workers n] [--batch n] "
                "[--wait-us n] [--queue n] [--fifo] [--timed] [--speed f] "
-               "[--outstanding n] [--rows n]\n"
-               "       (serve-bench also takes --tenants n --quota f "
-               "[--quota-burst f] --policy edf|fifo for admission, and "
-               "--trace-file path for timed trace replay; --shards N "
-               "--replicas R serve through a router, which takes every "
-               "serve-bench flag except --trace-file, plus --kill-replica "
-               "s:r [--rejoin-replica] for a recovery drill)\n",
+               "[--outstanding n] [--rows n]\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
                argv0, argv0);
   return 2;
@@ -322,26 +318,101 @@ int RunModels() {
   return 0;
 }
 
-struct LoadedDataset {
+/// The query-side model every serving command embeds with.
+std::shared_ptr<embed::EmbeddingModel> ServingModel() {
+  std::shared_ptr<embed::EmbeddingModel> model =
+      embed::CreateModel(embed::ModelId::kSGtrT5);
+  model->Initialize();
+  return model;
+}
+
+/// What every dataset command starts from: the generated dataset, the
+/// query-side model, the --index/--storage flags and, for a recovery drill,
+/// the replica to kill.
+struct DatasetInputs {
   datagen::CleanCleanDataset data;
+  std::shared_ptr<embed::EmbeddingModel> model;
+  serve::IndexKind kind = serve::IndexKind::kExact;
+  serve::StorageKind storage = serve::StorageKind::kFloat32;
+  bool drill = false;
+  uint32_t kill_shard = 0;
+  size_t kill_replica = 0;
+};
+
+/// Checks the serving flags before any work: the fleet shape, the drill
+/// flags, --trace-file, the dataset, --index and --storage. Then generates
+/// the dataset and starts the model. Returns 0, or the exit code.
+int PrepareInputs(const CliArgs& args, DatasetInputs& in) {
+  if (args.shards < 1 || args.replicas < 1) {
+    std::fprintf(stderr, "--shards and --replicas must be >= 1\n");
+    return 2;
+  }
+  if (!args.trace_file.empty() && (args.shards > 1 || args.replicas > 1)) {
+    std::fprintf(stderr, "--trace-file replays through a single engine; it "
+                         "cannot be combined with --shards/--replicas\n");
+    return 1;
+  }
+  // Recovery drill: --kill-replica s:r takes one replica down a third of the
+  // way into the run while mutations keep flowing; --rejoin-replica brings
+  // it back at two thirds. R >= 2 keeps the group serving through the
+  // outage.
+  in.drill = !args.kill_replica.empty();
+  if (args.rejoin_replica && !in.drill) {
+    std::fprintf(stderr, "--rejoin-replica needs --kill-replica\n");
+    return 1;
+  }
+  if (in.drill) {
+    int s = -1, r = -1;
+    if (std::sscanf(args.kill_replica.c_str(), "%d:%d", &s, &r) != 2 ||
+        s < 0 || r < 0 || static_cast<size_t>(s) >= args.shards ||
+        static_cast<size_t>(r) >= args.replicas) {
+      std::fprintf(stderr,
+                   "--kill-replica wants s:r with s < %zu and r < %zu\n",
+                   args.shards, args.replicas);
+      return 1;
+    }
+    if (args.replicas < 2) {
+      std::fprintf(stderr, "--kill-replica needs --replicas >= 2\n");
+      return 1;
+    }
+    in.kill_shard = static_cast<uint32_t>(s);
+    in.kill_replica = static_cast<size_t>(r);
+  }
+  const auto spec = datagen::CleanCleanSpecById(args.dataset);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
+    return 1;
+  }
+  const auto kind = serve::IndexKindFromString(args.index_kind);
+  if (!kind.ok()) {
+    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
+    return 1;
+  }
+  const auto storage = serve::StorageKindFromString(args.storage);
+  if (!storage.ok()) {
+    std::fprintf(stderr, "%s\n", storage.status().ToString().c_str());
+    return 1;
+  }
+  in.kind = kind.value();
+  in.storage = storage.value();
+  in.data = datagen::GenerateCleanClean(spec.value(), args.scale, args.seed);
+  in.model = ServingModel();
+  return 0;
+}
+
+struct LoadedDataset {
   eval::GroundTruth truth;
   la::Matrix left, right;
 };
 
 bool LoadAndEmbed(const CliArgs& args, LoadedDataset& out) {
-  const auto spec = datagen::CleanCleanSpecById(args.dataset);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
-    return false;
-  }
-  out.data = datagen::GenerateCleanClean(spec.value(), args.scale, args.seed);
-  for (const auto& [l, r] : out.data.matches) {
+  DatasetInputs in;
+  if (PrepareInputs(args, in) != 0) return false;
+  for (const auto& [l, r] : in.data.matches) {
     out.truth.AddCleanCleanPair(l, r);
   }
-  auto model = embed::CreateModel(embed::ModelId::kSGtrT5);
-  model->Initialize();
-  out.left = model->VectorizeAll(out.data.left.AllSentences());
-  out.right = model->VectorizeAll(out.data.right.AllSentences());
+  out.left = in.model->VectorizeAll(in.data.left.AllSentences());
+  out.right = in.model->VectorizeAll(in.data.right.AllSentences());
   return true;
 }
 
@@ -383,6 +454,9 @@ int RunPipeline(const CliArgs& args) {
   return 0;
 }
 
+/// The synthetic tenants of --tenants n are t0..t<n-1>.
+std::string TenantName(size_t t) { return "t" + std::to_string(t); }
+
 serve::QueuePolicy PolicyFromFlag(const std::string& flag) {
   return flag == "fifo" ? serve::QueuePolicy::kFifo : serve::QueuePolicy::kEdf;
 }
@@ -392,11 +466,29 @@ std::vector<serve::TenantQuota> QuotasFromFlags(const CliArgs& args) {
   std::vector<serve::TenantQuota> quotas;
   if (args.quota <= 0) return quotas;
   for (size_t t = 0; t < std::max<size_t>(1, args.tenants); ++t) {
-    serve::TenantQuota quota{"t", args.quota, args.quota_burst};
-    quota.tenant += std::to_string(t);
-    quotas.push_back(std::move(quota));
+    quotas.push_back({TenantName(t), args.quota, args.quota_burst});
   }
   return quotas;
+}
+
+/// EngineOptions or RouterOptions from the batcher flags (--k, --queue,
+/// --batch, --wait-us). Only the front end that takes Submit (a bare
+/// Engine, or the Router) also gets --workers, --policy and the --quota
+/// buckets: a router's shard engines keep one worker, EDF and no quotas, so
+/// admission happens once, at the router.
+template <class Options>
+Options OptionsFromFlags(const CliArgs& args, bool front_end = true) {
+  Options options;
+  options.k = args.k;
+  options.max_queue = args.max_queue;
+  options.max_batch = args.max_batch;
+  options.max_wait_micros = args.wait_micros;
+  if (front_end) {
+    options.workers = args.workers;
+    options.queue_policy = PolicyFromFlag(args.policy);
+    options.quotas = QuotasFromFlags(args);
+  }
+  return options;
 }
 
 /// Submit options of open-loop request `i`: the --deadline-ms budget from
@@ -407,8 +499,7 @@ serve::SubmitOptions OpenLoopSubmit(const CliArgs& args, size_t i) {
   serve::SubmitOptions submit =
       AfterMicros(SteadyNow(), static_cast<int64_t>(args.deadline_ms * 1e3));
   if (args.tenants > 1 || args.quota > 0) {
-    submit.tenant = "t";
-    submit.tenant += std::to_string(i % std::max<size_t>(1, args.tenants));
+    submit.tenant = TenantName(i % std::max<size_t>(1, args.tenants));
   }
   return submit;
 }
@@ -493,85 +584,318 @@ void PrintTenantTable(const std::vector<serve::TenantCounters>& tenants) {
   table.Print();
 }
 
-int RunServeBench(const CliArgs& args) {
-  const auto spec = datagen::CleanCleanSpecById(args.dataset);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
-    return 1;
-  }
-  const auto kind = serve::IndexKindFromString(args.index_kind);
-  if (!kind.ok()) {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return 1;
-  }
-  const auto storage = serve::StorageKindFromString(args.storage);
-  if (!storage.ok()) {
-    std::fprintf(stderr, "%s\n", storage.status().ToString().c_str());
-    return 1;
-  }
-  const datagen::CleanCleanDataset data =
-      datagen::GenerateCleanClean(spec.value(), args.scale, args.seed);
-  auto model = std::shared_ptr<embed::EmbeddingModel>(
-      embed::CreateModel(embed::ModelId::kSGtrT5));
-  model->Initialize();
+/// The batcher's counter line, the same for an Engine and a Router.
+void PrintCounters(const serve::BatcherMetrics& metrics) {
+  std::printf("accepted=%llu completed=%llu rejected=%llu throttled=%llu "
+              "expired=%llu late=%llu batches=%llu mean_batch=%.1f\n",
+              static_cast<unsigned long long>(metrics.submitted),
+              static_cast<unsigned long long>(metrics.completed),
+              static_cast<unsigned long long>(metrics.rejected),
+              static_cast<unsigned long long>(metrics.throttled),
+              static_cast<unsigned long long>(metrics.expired),
+              static_cast<unsigned long long>(metrics.deadline_misses),
+              static_cast<unsigned long long>(metrics.batches),
+              metrics.batch_size.Mean());
+}
 
-  // Snapshot acquisition: load when --snapshot names an existing valid
-  // file, otherwise build from scratch (and persist for the next start).
-  serve::Snapshot snapshot;
-  bool loaded = false;
-  WallTimer timer;
+void PrintHistogram(const char* name, const HistogramSnapshot& h) {
+  std::printf("%-12s p50=%8.0f us  p99=%8.0f us  max=%8.0f us\n", name,
+              h.Percentile(0.5), h.Percentile(0.99), h.max);
+}
+
+/// Stops span capture and writes the captured spans to `path` as Chrome
+/// trace_event JSON. Returns the spans, or the write error.
+Result<std::vector<obs::SpanRecord>> WriteTrace(const std::string& path) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.SetEnabled(false);
+  std::vector<obs::SpanRecord> spans = tracer.Drain();
+  const Status written = obs::WriteChromeTrace(spans, path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "trace write failed: %s\n",
+                 written.ToString().c_str());
+    return written;
+  }
+  std::printf("trace: %zu spans -> %s (open at ui.perfetto.dev; %llu "
+              "dropped by ring wraparound)\n",
+              spans.size(), path.c_str(),
+              static_cast<unsigned long long>(tracer.DroppedCount()));
+  return spans;
+}
+
+/// One trace replay's admission decisions and outcomes, and the identity
+/// line that two virtual replays of one trace must share.
+void PrintReplayReport(const char* what, const load::ReplayReport& r) {
+  std::printf("\ntrace replay (%s): %llu events in %.2f s\n", what,
+              static_cast<unsigned long long>(r.events), r.wall_seconds);
+  std::printf("decisions: submitted=%llu throttled=%llu rejected=%llu "
+              "(skipped unmapped deletes=%llu)\n",
+              static_cast<unsigned long long>(r.submitted),
+              static_cast<unsigned long long>(r.throttled),
+              static_cast<unsigned long long>(r.rejected),
+              static_cast<unsigned long long>(r.unmapped_deletes));
+  std::printf("outcomes:  completed=%llu expired=%llu failed=%llu\n",
+              static_cast<unsigned long long>(r.completed),
+              static_cast<unsigned long long>(r.expired),
+              static_cast<unsigned long long>(r.failed));
+  std::printf("identity:  admission_digest=%016llx signature=%016llx\n",
+              static_cast<unsigned long long>(r.admission_digest),
+              static_cast<unsigned long long>(r.Signature()));
+}
+
+/// The files of a `count`-shard set at `prefix`:
+/// <prefix>.s<i>-of-<count>.snap, or the plain path itself for one shard.
+std::vector<std::string> ShardPaths(const std::string& prefix, size_t count) {
+  if (count == 1) return {prefix};
+  std::vector<std::string> paths;
+  for (size_t s = 0; s < count; ++s) {
+    paths.push_back(prefix + ".s" + std::to_string(s) + "-of-" +
+                    std::to_string(count) + ".snap");
+  }
+  return paths;
+}
+
+/// The manifest every served snapshot is built under.
+serve::SnapshotManifest BaseManifest(const CliArgs& args,
+                                     const embed::EmbeddingModel& model,
+                                     serve::IndexKind kind) {
+  serve::SnapshotManifest manifest;
+  manifest.model_code = model.info().code;
+  manifest.default_k = static_cast<uint32_t>(args.k);
+  manifest.kind = kind;
+  manifest.dataset = args.dataset;
+  return manifest;
+}
+
+/// --storage int8: gives every shard that lacks one an int8 scan tier.
+Status QuantizeShards(serve::StorageKind storage,
+                      std::vector<serve::Snapshot>& shards) {
+  if (storage != serve::StorageKind::kInt8) return Status::Ok();
+  for (serve::Snapshot& shard : shards) {
+    if (shard.manifest().storage == serve::StorageKind::kInt8) continue;
+    const Status quantized = shard.Quantize();
+    if (!quantized.ok()) return quantized;
+  }
+  return Status::Ok();
+}
+
+/// Partitions `corpus` round-robin into `count` snapshots under the
+/// --index/--k/--seed flags (one unsharded snapshot for count 1), with the
+/// int8 tier when --storage asks for it.
+Result<std::vector<serve::Snapshot>> BuildShards(const CliArgs& args,
+                                                 const DatasetInputs& in,
+                                                 const la::Matrix& corpus,
+                                                 size_t count) {
+  index::HnswOptions hnsw_options;
+  hnsw_options.seed = args.seed;
+  index::LshOptions lsh_options;
+  lsh_options.seed = args.seed;
+  auto built = serve::BuildShardSnapshots(
+      BaseManifest(args, *in.model, in.kind), corpus,
+      static_cast<uint32_t>(count), hnsw_options, lsh_options);
+  if (!built.ok()) return built;
+  const Status quantized = QuantizeShards(in.storage, built.value());
+  if (!quantized.ok()) return quantized;
+  return built;
+}
+
+/// Saves shard s of the set to paths[s]; stops at the first failure.
+Status SaveShards(const std::vector<serve::Snapshot>& shards,
+                  const std::vector<std::string>& paths) {
+  for (size_t s = 0; s < paths.size(); ++s) {
+    const Status saved = shards[s].SaveTo(paths[s]);
+    if (!saved.ok()) return saved;
+    std::printf("shard %zu/%zu: %llu rows -> %s\n", s, paths.size(),
+                static_cast<unsigned long long>(shards[s].size()),
+                paths[s].c_str());
+  }
+  return Status::Ok();
+}
+
+/// serve-bench's load-or-build step over the --snapshot set (ShardPaths).
+/// When any of its files exists the set is loaded fail-closed, so a
+/// corrupt, incoherent or incomplete set refuses the run instead of being
+/// built over. Otherwise the set is built from the dataset and saved there;
+/// a failed save only warns. --storage int8 quantizes a loaded set as well
+/// as a built one.
+Result<std::vector<serve::Snapshot>> AcquireShards(const CliArgs& args,
+                                                   const DatasetInputs& in) {
+  std::vector<std::string> paths;
   if (!args.snapshot_path.empty()) {
-    auto from_disk = serve::Snapshot::LoadFrom(args.snapshot_path);
-    if (from_disk.ok()) {
-      snapshot = std::move(from_disk).value();
-      loaded = true;
-      std::printf("snapshot: loaded %s in %.1f ms (%zu rows, %s)\n",
-                  args.snapshot_path.c_str(), timer.Seconds() * 1e3,
-                  snapshot.size(), IndexKindName(snapshot.manifest().kind));
-    }
+    paths = ShardPaths(args.snapshot_path, args.shards);
   }
-  if (!loaded) {
-    la::Matrix corpus = model->VectorizeAll(data.right.AllSentences());
-    const double embed_seconds = timer.Restart();
-    serve::SnapshotManifest manifest;
-    manifest.model_code = model->info().code;
-    manifest.default_k = static_cast<uint32_t>(args.k);
-    manifest.kind = kind.value();
-    manifest.dataset = args.dataset;
-    index::HnswOptions hnsw_options;
-    hnsw_options.seed = args.seed;
-    index::LshOptions lsh_options;
-    lsh_options.seed = args.seed;
-    snapshot = serve::Snapshot::Build(std::move(manifest), std::move(corpus),
-                                      hnsw_options, lsh_options);
-    std::printf("snapshot: built from scratch in %.1f ms embed + %.1f ms "
-                "index (%zu rows, %s)\n",
-                embed_seconds * 1e3, timer.Seconds() * 1e3, snapshot.size(),
-                IndexKindName(snapshot.manifest().kind));
-    if (!args.snapshot_path.empty()) {
-      const Status saved = snapshot.SaveTo(args.snapshot_path);
-      if (!saved.ok()) {
-        std::fprintf(stderr, "snapshot save failed: %s\n",
-                     saved.ToString().c_str());
-      } else {
-        std::printf("snapshot: saved to %s\n", args.snapshot_path.c_str());
-      }
-    }
+  const auto describe = [](const std::vector<serve::Snapshot>& shards) {
+    uint64_t rows = 0;
+    for (const serve::Snapshot& shard : shards) rows += shard.size();
+    const serve::SnapshotManifest& manifest = shards.front().manifest();
+    return std::to_string(shards.size()) +
+           (shards.size() == 1 ? " shard" : " shards") + " (" +
+           std::to_string(rows) + " rows, " + IndexKindName(manifest.kind) +
+           ", storage=" + serve::StorageKindName(manifest.storage) + ")";
+  };
+  WallTimer timer;
+  if (std::any_of(paths.begin(), paths.end(), [](const std::string& path) {
+        return std::filesystem::exists(path);
+      })) {
+    auto loaded = serve::LoadShardSet(paths);
+    if (!loaded.ok()) return loaded;
+    const double load_seconds = timer.Seconds();
+    const Status quantized = QuantizeShards(in.storage, loaded.value());
+    if (!quantized.ok()) return quantized;
+    std::printf("shard set: loaded %s from %s in %.1f ms\n",
+                describe(loaded.value()).c_str(), args.snapshot_path.c_str(),
+                load_seconds * 1e3);
+    return loaded;
   }
-  if (storage.value() == serve::StorageKind::kInt8 &&
-      snapshot.manifest().storage != serve::StorageKind::kInt8) {
-    const Status quantized = snapshot.Quantize();
-    if (!quantized.ok()) {
-      std::fprintf(stderr, "%s\n", quantized.ToString().c_str());
-      return 1;
-    }
-    std::printf("snapshot: int8 scan tier built (storage=%s)\n",
-                serve::StorageKindName(snapshot.manifest().storage));
+  const la::Matrix corpus =
+      in.model->VectorizeAll(in.data.right.AllSentences());
+  const double embed_seconds = timer.Restart();
+  auto built = BuildShards(args, in, corpus, args.shards);
+  if (!built.ok()) return built;
+  std::printf("shard set: built %s in %.1f ms embed + %.1f ms index\n",
+              describe(built.value()).c_str(), embed_seconds * 1e3,
+              timer.Seconds() * 1e3);
+  if (const Status saved = SaveShards(built.value(), paths); !saved.ok()) {
+    std::fprintf(stderr, "snapshot save failed: %s\n",
+                 saved.ToString().c_str());
   }
+  return built;
+}
 
+/// Merged per-shard answers straight off the shard snapshots (no engines):
+/// the oracle-comparison path snapshot-shard and the router spot check
+/// share.
+std::vector<std::vector<index::Neighbor>> MergeAcrossShards(
+    const std::vector<serve::Snapshot>& shards, const la::Matrix& queries,
+    size_t k) {
+  std::vector<std::vector<std::vector<index::Neighbor>>> per_shard;
+  per_shard.reserve(shards.size());
+  for (const serve::Snapshot& shard : shards) {
+    auto lists = shard.QueryBatch(queries, k);
+    for (auto& list : lists) {
+      index::RemapToGlobal(list, shard.manifest().row_offset,
+                           shard.manifest().shard_count);
+    }
+    per_shard.push_back(std::move(lists));
+  }
+  std::vector<std::vector<index::Neighbor>> merged(queries.rows());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    std::vector<std::vector<index::Neighbor>> lists;
+    lists.reserve(shards.size());
+    for (auto& shard_lists : per_shard) {
+      lists.push_back(std::move(shard_lists[q]));
+    }
+    merged[q] = serve::MergeTopK(lists, k);
+  }
+  return merged;
+}
+
+/// True when query `q`'s answer `got` equals `want` id for id and bit for
+/// bit; otherwise prints where they part.
+bool SpotCheck(size_t q, const std::vector<index::Neighbor>& got,
+               const std::vector<index::Neighbor>& want) {
+  if (got.size() != want.size()) {
+    std::fprintf(stderr, "spot-check FAILED: query %zu has %zu neighbors, "
+                 "expected %zu\n", q, got.size(), want.size());
+    return false;
+  }
+  for (size_t j = 0; j < got.size(); ++j) {
+    if (got[j].id != want[j].id || got[j].distance != want[j].distance) {
+      std::fprintf(stderr, "spot-check FAILED: query %zu rank %zu "
+                   "diverges\n", q, j);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Starts --replicas engines per shard (Snapshot is copyable: mmap'ed sets
+/// share one mapping) under a Router. For exact indexes, a few routed
+/// queries must then answer bit-identically to the merge computed straight
+/// off the shard snapshots. `probes` receives the router metrics after that
+/// spot check, so the report can leave the probes out. Null on failure.
+std::unique_ptr<serve::Router> StartRouter(
+    const CliArgs& args, const DatasetInputs& in,
+    const std::vector<serve::Snapshot>& shards, serve::RouterMetrics& probes) {
+  // Engine k matches the router's merge k; a drill mutates, which needs
+  // live engines.
+  auto engine_options = OptionsFromFlags<serve::EngineOptions>(args, false);
+  engine_options.live = in.drill;
+  std::vector<std::unique_ptr<serve::Engine>> engines;
+  for (size_t r = 0; r < args.replicas; ++r) {
+    for (const serve::Snapshot& shard : shards) {
+      auto engine = serve::Engine::Create(shard, in.model, engine_options);
+      if (!engine.ok()) {
+        std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+        return nullptr;
+      }
+      engines.push_back(std::move(engine).value());
+    }
+  }
+  auto created = serve::Router::Create(
+      std::move(engines), in.model,
+      OptionsFromFlags<serve::RouterOptions>(args));
+  if (!created.ok()) {
+    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+    return nullptr;
+  }
+  std::unique_ptr<serve::Router> router = std::move(created).value();
+  std::printf("router: %u shards x %zu replicas, health=%s\n",
+              router->shard_count(), router->replica_count(0),
+              serve::HealthName(router->health()));
+
+  const auto sentences = in.data.left.AllSentences();
+  const size_t probe =
+      shards.front().manifest().kind == serve::IndexKind::kExact
+          ? std::min<size_t>(8, sentences.size())
+          : 0;
+  if (probe > 0) {
+    const la::Matrix vectors = in.model->VectorizeAll(
+        {sentences.begin(), sentences.begin() + probe});
+    const auto expect = MergeAcrossShards(shards, vectors, args.k);
+    std::vector<std::future<Result<serve::QueryReply>>> checks;
+    for (size_t q = 0; q < probe; ++q) {
+      auto submitted = router->Submit(sentences[q]);
+      if (!submitted.ok()) {
+        std::fprintf(stderr, "spot-check submit failed: %s\n",
+                     submitted.status().ToString().c_str());
+        return nullptr;
+      }
+      checks.push_back(std::move(submitted).value());
+    }
+    for (size_t q = 0; q < probe; ++q) {
+      auto reply = checks[q].get();
+      if (!reply.ok() || reply.value().partial) {
+        std::fprintf(stderr, "spot-check FAILED: query %zu not fully "
+                     "answered\n", q);
+        return nullptr;
+      }
+      if (!SpotCheck(q, reply.value().neighbors, expect[q])) return nullptr;
+    }
+    std::printf("spot-check: %zu routed queries match the shard merge\n",
+                probe);
+  }
+  // A batch's merge time is recorded just after its replies are sent, so
+  // wait (briefly) until every probe batch has recorded it.
+  probes = router->Metrics();
+  for (int spin = 0; spin < 1000 && probes.merge_micros.count < probes.batches;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    probes = router->Metrics();
+  }
+  return router;
+}
+
+/// serve-bench: acquire the shard set, start the fleet, drive a workload
+/// and report. A 1x1 fleet is a bare Engine, so single-engine runs measure
+/// no router hop; any other shape serves through a Router.
+int RunServeBench(const CliArgs& args) {
+  DatasetInputs in;
+  if (const int refused = PrepareInputs(args, in); refused != 0) {
+    return refused;
+  }
   // --trace-file swaps the synthetic open loop for a recorded workload,
-  // replayed in timed mode against this engine (all tenants merged onto
-  // it). Loaded before Create so the trace's quotas configure admission.
+  // replayed in timed mode against the engine (all tenants merged onto
+  // it). Loaded first, so the trace's quotas configure admission.
   Result<load::Trace> trace = Status::InvalidArgument("no trace");
   if (!args.trace_file.empty()) {
     trace = load::Trace::LoadFrom(args.trace_file);
@@ -581,75 +905,72 @@ int RunServeBench(const CliArgs& args) {
       return 1;
     }
   }
-
-  serve::EngineOptions options;
-  options.k = args.k;
-  options.max_queue = args.max_queue;
-  options.max_batch = args.max_batch;
-  options.max_wait_micros = args.wait_micros;
-  options.workers = args.workers;
-  options.queue_policy = PolicyFromFlag(args.policy);
-  // Trace replay needs the mutable delta tier: traces carry upserts and
-  // deletes, which a frozen engine would refuse.
-  options.live = trace.ok();
-  options.quotas = QuotasFromFlags(args);
-  if (options.quotas.empty() && trace.ok()) {
-    options.quotas = load::QuotasFromTrace(trace.value());
-  }
-  auto engine = serve::Engine::Create(std::move(snapshot), model, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+  auto shards = AcquireShards(args, in);
+  if (!shards.ok()) {
+    std::fprintf(stderr, "snapshot refused: %s\n",
+                 shards.status().ToString().c_str());
     return 1;
+  }
+
+  std::unique_ptr<serve::Engine> engine;
+  std::unique_ptr<serve::Router> router;
+  serve::RouterMetrics probes;
+  if (args.shards == 1 && args.replicas == 1) {
+    auto options = OptionsFromFlags<serve::EngineOptions>(args);
+    // Trace replay needs the mutable delta tier: traces carry upserts and
+    // deletes, which a frozen engine would refuse.
+    options.live = trace.ok();
+    if (options.quotas.empty() && trace.ok()) {
+      options.quotas = load::QuotasFromTrace(trace.value());
+    }
+    auto created = serve::Engine::Create(std::move(shards.value().front()),
+                                         in.model, options);
+    if (!created.ok()) {
+      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+      return 1;
+    }
+    engine = std::move(created).value();
+  } else {
+    router = StartRouter(args, in, shards.value(), probes);
+    if (router == nullptr) return 1;
   }
 
   if (!args.trace_path.empty()) {
     obs::Tracer::Global().Clear();
     obs::Tracer::Global().SetEnabled(true);
   }
-
+  // The workload: a recorded trace replayed on its own timed schedule, or
+  // the synthetic open loop. Open-loop submissions fire on the offered-QPS
+  // schedule no matter how the fleet is doing, so overload shows up as
+  // rejections and deadline misses instead of a silently slowed generator.
+  // A drill kills its replica at 1/3 of the run and rejoins it at 2/3; its
+  // write stream never pauses (every 8th tick upserts), so the downed
+  // replica genuinely falls behind and has something to catch up on.
+  Result<load::ReplayReport> replayed = Status::InvalidArgument("no trace");
   if (trace.ok()) {
     load::ReplayOptions replay_options;
     replay_options.mode = load::ReplayOptions::Mode::kTimed;
     replay_options.speed = args.speed;
     replay_options.max_outstanding = args.outstanding;
-    const auto report =
-        load::Replay(trace.value(), {engine.value().get()}, replay_options);
-    if (!report.ok()) {
-      std::fprintf(stderr, "replay: %s\n", report.status().ToString().c_str());
+    replayed = load::Replay(trace.value(), {engine.get()}, replay_options);
+    if (!replayed.ok()) {
+      std::fprintf(stderr, "replay: %s\n",
+                   replayed.status().ToString().c_str());
       return 1;
     }
-    std::string trace_prometheus;
-    if (args.dump_metrics) {
-      trace_prometheus = obs::Registry::Global().ToPrometheusText();
-    }
-    engine.value()->Stop();
-    const load::ReplayReport& r = report.value();
-    std::printf("trace replay (%s, policy=%s): %llu events in %.2f s — "
-                "submitted=%llu throttled=%llu rejected=%llu "
-                "completed=%llu expired=%llu failed=%llu\n",
-                args.trace_file.c_str(), args.policy.c_str(),
-                static_cast<unsigned long long>(r.events), r.wall_seconds,
-                static_cast<unsigned long long>(r.submitted),
-                static_cast<unsigned long long>(r.throttled),
-                static_cast<unsigned long long>(r.rejected),
-                static_cast<unsigned long long>(r.completed),
-                static_cast<unsigned long long>(r.expired),
-                static_cast<unsigned long long>(r.failed));
-    PrintTenantTable(engine.value()->Metrics().tenants);
-    if (args.dump_metrics) std::printf("\n%s", trace_prometheus.c_str());
-    return 0;
   }
-
-  // Open-loop load: submissions fire on the offered-QPS schedule no matter
-  // how the engine is doing, so overload shows up as rejections and
-  // deadline misses instead of a silently slowed generator.
-  const std::vector<std::string> queries = data.left.AllSentences();
-  if (queries.empty()) {
+  const std::vector<std::string> queries = in.data.left.AllSentences();
+  const auto total = trace.ok() ? size_t{0}
+                                : static_cast<size_t>(
+                                      args.qps * args.duration_seconds + 0.5);
+  if (total > 0 && queries.empty()) {
     std::fprintf(stderr, "dataset has no query records\n");
     return 1;
   }
-  const auto total =
-      static_cast<size_t>(args.qps * args.duration_seconds + 0.5);
+  const size_t kill_at = in.drill ? total / 3 : total + 1;
+  const size_t rejoin_at =
+      args.rejoin_replica ? (2 * total) / 3 : total + 1;
+  size_t missed_mutations = 0;
   std::vector<std::future<Result<serve::QueryReply>>> futures;
   futures.reserve(total);
   const SteadyTime start = SteadyNow();
@@ -657,72 +978,139 @@ int RunServeBench(const CliArgs& args) {
     const SteadyTime at =
         AfterMicros(start, static_cast<int64_t>(i * 1e6 / args.qps));
     std::this_thread::sleep_until(at);
-    auto submitted = engine.value()->Submit(queries[i % queries.size()],
-                                            OpenLoopSubmit(args, i));
+    const std::string& query = queries[i % queries.size()];
+    if (i == kill_at) {
+      const Status down = router->KillReplica(in.kill_shard, in.kill_replica);
+      std::printf("drill: killed replica %u:%zu at query %zu (%s)\n",
+                  in.kill_shard, in.kill_replica, i,
+                  down.ok() ? "ok" : down.ToString().c_str());
+    }
+    if (i == rejoin_at) {
+      const Status up = router->RejoinReplica(in.kill_shard, in.kill_replica);
+      std::printf("drill: rejoined replica %u:%zu at query %zu after %zu "
+                  "missed mutations (%s)\n",
+                  in.kill_shard, in.kill_replica, i, missed_mutations,
+                  up.ok() ? "ok" : up.ToString().c_str());
+    }
+    if (in.drill && i % 8 == 0) {
+      auto admitted =
+          router->Upsert("drill upsert " + std::to_string(i) + " " + query);
+      if (admitted.ok() && i >= kill_at && i < rejoin_at) ++missed_mutations;
+    }
+    auto submitted = router ? router->Submit(query, OpenLoopSubmit(args, i))
+                            : engine->Submit(query, OpenLoopSubmit(args, i));
     if (submitted.ok()) futures.push_back(std::move(submitted).value());
   }
-  size_t ok = 0, missed = 0;
+  size_t ok = 0, partial = 0;
   for (auto& future : futures) {
-    ok += future.get().ok() ? 1 : 0;
-  }
-  const double wall = MicrosBetween(start, SteadyNow()) / 1e6;
-  // Scrape before Stop(): the engine unregisters its registry collector
-  // when it stops.
-  std::string prometheus;
-  if (args.dump_metrics) prometheus = obs::Registry::Global().ToPrometheusText();
-  engine.value()->Stop();
-  const serve::EngineMetrics metrics = engine.value()->Metrics();
-  missed = metrics.expired;
-
-  if (!args.trace_path.empty()) {
-    obs::Tracer::Global().SetEnabled(false);
-    const auto spans = obs::Tracer::Global().Drain();
-    const Status written = obs::WriteChromeTrace(spans, args.trace_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "trace write failed: %s\n",
-                   written.ToString().c_str());
-    } else {
-      std::printf("trace: %zu spans -> %s (open at ui.perfetto.dev; %llu "
-                  "dropped by ring wraparound)\n",
-                  spans.size(), args.trace_path.c_str(),
-                  static_cast<unsigned long long>(
-                      obs::Tracer::Global().DroppedCount()));
+    auto reply = future.get();
+    if (reply.ok()) {
+      ++ok;
+      partial += reply.value().partial ? 1 : 0;
     }
   }
+  const double wall = MicrosBetween(start, SteadyNow()) / 1e6;
 
-  std::printf(
-      "\n%s %s k=%zu: offered %.0f qps for %.1fs -> achieved %.0f qps\n",
-      args.dataset.c_str(), args.index_kind.c_str(), args.k, args.qps,
-      args.duration_seconds, static_cast<double>(ok) / wall);
-  std::printf("accepted=%llu completed=%llu rejected=%llu throttled=%llu "
-              "expired=%llu late=%llu batches=%llu mean_batch=%.1f\n",
-              static_cast<unsigned long long>(metrics.submitted),
-              static_cast<unsigned long long>(metrics.completed),
-              static_cast<unsigned long long>(metrics.rejected),
-              static_cast<unsigned long long>(metrics.throttled),
-              static_cast<unsigned long long>(missed),
-              static_cast<unsigned long long>(metrics.deadline_misses),
-              static_cast<unsigned long long>(metrics.batches),
-              metrics.batch_size.Mean());
-  std::printf("health=%s failed=%llu retries=%llu fallbacks=%llu trips=%llu "
-              "short_circuits=%llu reloads=%llu\n",
-              serve::HealthName(metrics.health),
-              static_cast<unsigned long long>(metrics.failed),
-              static_cast<unsigned long long>(metrics.retries),
-              static_cast<unsigned long long>(metrics.fallbacks),
-              static_cast<unsigned long long>(metrics.breaker_trips),
-              static_cast<unsigned long long>(metrics.short_circuits),
-              static_cast<unsigned long long>(metrics.reloads));
-  const auto dump = [](const char* name, const HistogramSnapshot& h) {
-    std::printf("%-12s p50=%8.0f us  p99=%8.0f us  max=%8.0f us\n", name,
-                h.Percentile(0.5), h.Percentile(0.99), h.max);
-  };
-  dump("queue", metrics.queue_micros);
-  dump("embed", metrics.embed_micros);
-  dump("query", metrics.query_micros);
-  dump("postproc", metrics.postprocess_micros);
-  dump("total", metrics.total_micros);
-  PrintTenantTable(metrics.tenants);
+  // Drill verdict (before Stop(), which joins the recovery worker): with a
+  // rejoin requested the fleet must converge — catch-up replay or resync
+  // finishing with every replica active — or the whole run fails closed.
+  bool converged = true;
+  if (args.rejoin_replica) {
+    const SteadyTime deadline = AfterMicros(SteadyNow(), 15'000'000);
+    while (!router->Converged() && MicrosBetween(SteadyNow(), deadline) > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    converged = router->Converged();
+  }
+  // Scrape before Stop(): a front end unregisters its registry collector
+  // when it stops.
+  const std::string prometheus =
+      args.dump_metrics ? obs::Registry::Global().ToPrometheusText() : "";
+  if (router) {
+    router->Stop();
+  } else {
+    engine->Stop();
+  }
+  if (!args.trace_path.empty()) (void)WriteTrace(args.trace_path);
+
+  if (replayed.ok()) {
+    PrintReplayReport(
+        (args.trace_file + ", timed, policy=" + args.policy).c_str(),
+        replayed.value());
+  } else {
+    std::printf(
+        "\n%s %s k=%zu shards=%zu replicas=%zu: offered %.0f qps for %.1fs "
+        "-> achieved %.0f qps\n",
+        args.dataset.c_str(), args.index_kind.c_str(), args.k, args.shards,
+        args.replicas, args.qps, args.duration_seconds,
+        static_cast<double>(ok) / wall);
+  }
+  if (engine) {
+    const serve::EngineMetrics metrics = engine->Metrics();
+    PrintCounters(metrics);
+    std::printf("health=%s failed=%llu retries=%llu fallbacks=%llu trips=%llu "
+                "short_circuits=%llu reloads=%llu\n",
+                serve::HealthName(metrics.health),
+                static_cast<unsigned long long>(metrics.failed),
+                static_cast<unsigned long long>(metrics.retries),
+                static_cast<unsigned long long>(metrics.fallbacks),
+                static_cast<unsigned long long>(metrics.breaker_trips),
+                static_cast<unsigned long long>(metrics.short_circuits),
+                static_cast<unsigned long long>(metrics.reloads));
+    PrintHistogram("queue", metrics.queue_micros);
+    PrintHistogram("embed", metrics.embed_micros);
+    PrintHistogram("query", metrics.query_micros);
+    PrintHistogram("postproc", metrics.postprocess_micros);
+    PrintHistogram("total", metrics.total_micros);
+    PrintTenantTable(metrics.tenants);
+  } else {
+    const serve::RouterMetrics metrics =
+        MetricsSince(probes, router->Metrics());
+    PrintCounters(metrics);
+    std::printf("failed=%llu partial=%llu shards_degraded=%llu "
+                "sibling_retries=%llu embed_retries=%llu\n",
+                static_cast<unsigned long long>(metrics.failed),
+                static_cast<unsigned long long>(metrics.partial),
+                static_cast<unsigned long long>(metrics.shards_degraded),
+                static_cast<unsigned long long>(metrics.sibling_retries),
+                static_cast<unsigned long long>(metrics.retries));
+    if (in.drill) {
+      std::printf(
+          "drill: availability=%.4f quarantines=%llu catchups=%llu "
+          "resyncs=%llu replayed=%llu digest_mismatches=%llu converged=%s\n",
+          futures.empty() ? 0.0
+                          : static_cast<double>(ok - partial) / futures.size(),
+          static_cast<unsigned long long>(metrics.quarantines),
+          static_cast<unsigned long long>(metrics.catchups),
+          static_cast<unsigned long long>(metrics.resyncs),
+          static_cast<unsigned long long>(metrics.replayed_mutations),
+          static_cast<unsigned long long>(metrics.digest_mismatches),
+          converged ? "yes" : "NO");
+      if (!converged) {
+        std::fprintf(stderr,
+                     "drill FAILED: replica %u:%zu never converged after "
+                     "rejoin\n",
+                     in.kill_shard, in.kill_replica);
+        return 1;
+      }
+    }
+    PrintHistogram("queue", metrics.queue_micros);
+    PrintHistogram("embed", metrics.embed_micros);
+    PrintHistogram("fanout", metrics.fanout_micros);
+    PrintHistogram("gather", metrics.gather_micros);
+    PrintHistogram("merge", metrics.merge_micros);
+    PrintHistogram("total", metrics.total_micros);
+    for (size_t s = 0; s < metrics.shard_micros.size(); ++s) {
+      for (size_t r = 0; r < metrics.shard_micros[s].size(); ++r) {
+        const auto& h = metrics.shard_micros[s][r];
+        std::printf("shard=%zu replica=%zu p50=%8.0f us  p99=%8.0f us  "
+                    "count=%llu\n",
+                    s, r, h.Percentile(0.5), h.Percentile(0.99),
+                    static_cast<unsigned long long>(h.count));
+      }
+    }
+    PrintTenantTable(metrics.tenants);
+  }
   if (args.dump_metrics) std::printf("\n%s", prometheus.c_str());
   return 0;
 }
@@ -738,8 +1126,7 @@ int RunTraceRecord(const CliArgs& args) {
   const size_t tenant_count = std::max<size_t>(1, args.tenants);
   for (size_t t = 0; t < tenant_count; ++t) {
     load::TenantSpec tenant;
-    tenant.name = "t";
-    tenant.name += std::to_string(t);
+    tenant.name = TenantName(t);
     tenant.corpus_rows = args.rows > 0 ? args.rows : 256;
     tenant.zipf_s = args.zipf;
     tenant.upsert_fraction = args.upserts;
@@ -842,11 +1229,12 @@ int RunTraceReplay(const CliArgs& args) {
               trace.events.size(), trace.manifest.tenants.size(),
               static_cast<unsigned long long>(trace.Checksum()));
 
-  auto model = std::shared_ptr<embed::EmbeddingModel>(
-      embed::CreateModel(embed::ModelId::kSGtrT5));
-  model->Initialize();
+  const auto model = ServingModel();
   // One live engine per tenant, its base corpus sized from the trace's own
   // key space (or --rows), filled with deterministic synthetic rows.
+  auto options = OptionsFromFlags<serve::EngineOptions>(args);
+  options.live = true;
+  options.quotas = load::QuotasFromTrace(trace);
   const size_t tenant_count = std::max<size_t>(1, trace.manifest.tenants.size());
   std::vector<std::unique_ptr<serve::Engine>> engines;
   std::vector<serve::Engine*> engine_ptrs;
@@ -860,26 +1248,15 @@ int RunTraceReplay(const CliArgs& args) {
       sentences.push_back("corpus tenant " + std::to_string(t) + " row " +
                           std::to_string(r));
     }
-    la::Matrix corpus = model->VectorizeAll(sentences);
-    serve::SnapshotManifest manifest;
-    manifest.model_code = model->info().code;
-    manifest.default_k = static_cast<uint32_t>(args.k);
-    manifest.kind = serve::IndexKind::kExact;
+    serve::SnapshotManifest manifest =
+        BaseManifest(args, *model, serve::IndexKind::kExact);
     manifest.dataset = trace.manifest.tenants.empty()
                            ? "trace"
                            : trace.manifest.tenants[t].dataset;
-    serve::Snapshot snapshot = serve::Snapshot::Build(
-        std::move(manifest), std::move(corpus), {}, {});
-    serve::EngineOptions options;
-    options.k = args.k;
-    options.live = true;
-    options.workers = args.workers;
-    options.max_batch = args.max_batch;
-    options.max_wait_micros = args.wait_micros;
-    options.max_queue = args.max_queue;
-    options.queue_policy = PolicyFromFlag(args.policy);
-    options.quotas = load::QuotasFromTrace(trace);
-    auto engine = serve::Engine::Create(std::move(snapshot), model, options);
+    auto engine = serve::Engine::Create(
+        serve::Snapshot::Build(std::move(manifest),
+                               model->VectorizeAll(sentences)),
+        model, options);
     if (!engine.ok()) {
       std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
       return 1;
@@ -898,23 +1275,7 @@ int RunTraceReplay(const CliArgs& args) {
     std::fprintf(stderr, "replay: %s\n", report.status().ToString().c_str());
     return 1;
   }
-  const load::ReplayReport& r = report.value();
-  std::printf("\nreplay (%s): %llu events in %.2f s\n",
-              args.timed ? "timed" : "virtual",
-              static_cast<unsigned long long>(r.events), r.wall_seconds);
-  std::printf("decisions: submitted=%llu throttled=%llu rejected=%llu "
-              "(skipped unmapped deletes=%llu)\n",
-              static_cast<unsigned long long>(r.submitted),
-              static_cast<unsigned long long>(r.throttled),
-              static_cast<unsigned long long>(r.rejected),
-              static_cast<unsigned long long>(r.unmapped_deletes));
-  std::printf("outcomes:  completed=%llu expired=%llu failed=%llu\n",
-              static_cast<unsigned long long>(r.completed),
-              static_cast<unsigned long long>(r.expired),
-              static_cast<unsigned long long>(r.failed));
-  std::printf("identity:  admission_digest=%016llx signature=%016llx\n",
-              static_cast<unsigned long long>(r.admission_digest),
-              static_cast<unsigned long long>(r.Signature()));
+  PrintReplayReport(args.timed ? "timed" : "virtual", report.value());
   for (auto& engine : engines) engine->Stop();
   for (size_t t = 0; t < engines.size(); ++t) {
     std::printf("\nengine %zu (tenant %s):\n", t,
@@ -926,105 +1287,26 @@ int RunTraceReplay(const CliArgs& args) {
   return 0;
 }
 
-std::string ShardPath(const std::string& prefix, size_t shard, size_t count) {
-  return prefix + ".s" + std::to_string(shard) + "-of-" +
-         std::to_string(count) + ".snap";
-}
-
-/// Merged per-shard answers straight off the shard snapshots (no engines):
-/// the oracle-comparison path snapshot-shard and the sharded serve-bench
-/// spot check share.
-std::vector<std::vector<index::Neighbor>> MergeAcrossShards(
-    const std::vector<serve::Snapshot>& shards, const la::Matrix& queries,
-    size_t k) {
-  std::vector<std::vector<std::vector<index::Neighbor>>> per_shard;
-  per_shard.reserve(shards.size());
-  for (const serve::Snapshot& shard : shards) {
-    auto lists = shard.QueryBatch(queries, k);
-    for (auto& list : lists) {
-      index::RemapToGlobal(list, shard.manifest().row_offset,
-                           shard.manifest().shard_count);
-    }
-    per_shard.push_back(std::move(lists));
-  }
-  std::vector<std::vector<index::Neighbor>> merged(queries.rows());
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    std::vector<std::vector<index::Neighbor>> lists;
-    lists.reserve(shards.size());
-    for (auto& shard_lists : per_shard) {
-      lists.push_back(std::move(shard_lists[q]));
-    }
-    merged[q] = serve::MergeTopK(lists, k);
-  }
-  return merged;
-}
-
 int RunSnapshotShard(const CliArgs& args) {
-  if (args.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  const auto spec = datagen::CleanCleanSpecById(args.dataset);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
-    return 1;
-  }
-  const auto kind = serve::IndexKindFromString(args.index_kind);
-  if (!kind.ok()) {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return 1;
-  }
-  const auto storage = serve::StorageKindFromString(args.storage);
-  if (!storage.ok()) {
-    std::fprintf(stderr, "%s\n", storage.status().ToString().c_str());
-    return 1;
+  DatasetInputs in;
+  if (const int refused = PrepareInputs(args, in); refused != 0) {
+    return refused;
   }
   const std::string prefix =
       args.prefix.empty() ? args.dataset + "_shards" : args.prefix;
-  const datagen::CleanCleanDataset data =
-      datagen::GenerateCleanClean(spec.value(), args.scale, args.seed);
-  auto model = std::shared_ptr<embed::EmbeddingModel>(
-      embed::CreateModel(embed::ModelId::kSGtrT5));
-  model->Initialize();
   WallTimer timer;
-  const la::Matrix corpus = model->VectorizeAll(data.right.AllSentences());
+  const la::Matrix corpus =
+      in.model->VectorizeAll(in.data.right.AllSentences());
   const double embed_seconds = timer.Restart();
-
-  serve::SnapshotManifest base;
-  base.model_code = model->info().code;
-  base.default_k = static_cast<uint32_t>(args.k);
-  base.kind = kind.value();
-  base.dataset = args.dataset;
-  index::HnswOptions hnsw_options;
-  hnsw_options.seed = args.seed;
-  index::LshOptions lsh_options;
-  lsh_options.seed = args.seed;
-  auto built = serve::BuildShardSnapshots(
-      base, corpus, static_cast<uint32_t>(args.shards), hnsw_options,
-      lsh_options);
+  auto built = BuildShards(args, in, corpus, args.shards);
   if (!built.ok()) {
     std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     return 1;
   }
-  std::vector<std::string> paths;
-  for (size_t s = 0; s < built.value().size(); ++s) {
-    serve::Snapshot& shard = built.value()[s];
-    if (storage.value() == serve::StorageKind::kInt8) {
-      const Status quantized = shard.Quantize();
-      if (!quantized.ok()) {
-        std::fprintf(stderr, "%s\n", quantized.ToString().c_str());
-        return 1;
-      }
-    }
-    paths.push_back(ShardPath(prefix, s, args.shards));
-    const Status saved = shard.SaveTo(paths.back());
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
-    std::printf("shard %zu/%zu: %llu rows -> %s\n", s, args.shards,
-                static_cast<unsigned long long>(shard.manifest().rows),
-                paths.back().c_str());
+  const std::vector<std::string> paths = ShardPaths(prefix, args.shards);
+  if (const Status saved = SaveShards(built.value(), paths); !saved.ok()) {
+    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
+    return 1;
   }
   std::printf("built %zu shards in %.1f ms embed + %.1f ms index+save\n",
               args.shards, embed_seconds * 1e3, timer.Restart() * 1e3);
@@ -1043,29 +1325,17 @@ int RunSnapshotShard(const CliArgs& args) {
   // Exact indexes admit a bit-identity check against the unsharded oracle;
   // approximate indexes (per-shard graphs/tables differ structurally from
   // one global build) get only the structural round trip above.
-  if (kind.value() == serve::IndexKind::kExact && corpus.rows() > 0) {
-    const auto query_sentences = data.left.AllSentences();
+  if (in.kind == serve::IndexKind::kExact && corpus.rows() > 0) {
+    const auto query_sentences = in.data.left.AllSentences();
     const size_t probe = std::min<size_t>(32, query_sentences.size());
-    const la::Matrix queries = model->VectorizeAll(
+    const la::Matrix queries = in.model->VectorizeAll(
         {query_sentences.begin(), query_sentences.begin() + probe});
-    serve::Snapshot oracle = serve::Snapshot::Build(base, corpus);
+    const serve::Snapshot oracle =
+        serve::Snapshot::Build(BaseManifest(args, *in.model, in.kind), corpus);
     const auto expect = oracle.QueryBatch(queries, args.k);
     const auto merged = MergeAcrossShards(reloaded.value(), queries, args.k);
     for (size_t q = 0; q < probe; ++q) {
-      if (merged[q].size() != expect[q].size()) {
-        std::fprintf(stderr, "spot-check FAILED: query %zu merged %zu "
-                     "neighbors, oracle %zu\n",
-                     q, merged[q].size(), expect[q].size());
-        return 1;
-      }
-      for (size_t j = 0; j < merged[q].size(); ++j) {
-        if (merged[q][j].id != expect[q][j].id ||
-            merged[q][j].distance != expect[q][j].distance) {
-          std::fprintf(stderr, "spot-check FAILED: query %zu rank %zu "
-                       "diverges from the unsharded oracle\n", q, j);
-          return 1;
-        }
-      }
+      if (!SpotCheck(q, merged[q], expect[q])) return 1;
     }
     std::printf("spot-check: %zu queries merge bit-identical to the "
                 "unsharded oracle\n", probe);
@@ -1076,426 +1346,27 @@ int RunSnapshotShard(const CliArgs& args) {
   return 0;
 }
 
-int RunServeBenchSharded(const CliArgs& args) {
-  if (!args.trace_file.empty()) {
-    std::fprintf(stderr, "--trace-file replays through a single engine; it "
-                         "cannot be combined with --shards/--replicas\n");
-    return 1;
-  }
-  const auto spec = datagen::CleanCleanSpecById(args.dataset);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
-    return 1;
-  }
-  const auto kind = serve::IndexKindFromString(args.index_kind);
-  if (!kind.ok()) {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return 1;
-  }
-  const auto storage = serve::StorageKindFromString(args.storage);
-  if (!storage.ok()) {
-    std::fprintf(stderr, "%s\n", storage.status().ToString().c_str());
-    return 1;
-  }
-  const datagen::CleanCleanDataset data =
-      datagen::GenerateCleanClean(spec.value(), args.scale, args.seed);
-  auto model = std::shared_ptr<embed::EmbeddingModel>(
-      embed::CreateModel(embed::ModelId::kSGtrT5));
-  model->Initialize();
-
-  // Shard-set acquisition: --snapshot names the set's prefix; load when all
-  // N files exist (fail-closed set validation), else build and persist.
-  std::vector<serve::Snapshot> shards;
-  WallTimer timer;
-  serve::SnapshotManifest base;
-  base.model_code = model->info().code;
-  base.default_k = static_cast<uint32_t>(args.k);
-  base.kind = kind.value();
-  base.dataset = args.dataset;
-  bool loaded = false;
-  if (!args.snapshot_path.empty()) {
-    std::vector<std::string> paths;
-    bool all_exist = true;
-    for (size_t s = 0; s < args.shards; ++s) {
-      paths.push_back(ShardPath(args.snapshot_path, s, args.shards));
-      std::FILE* probe = std::fopen(paths.back().c_str(), "rb");
-      if (probe == nullptr) {
-        all_exist = false;
-      } else {
-        std::fclose(probe);
-      }
-    }
-    if (all_exist) {
-      auto set = serve::LoadShardSet(paths);
-      if (!set.ok()) {
-        std::fprintf(stderr, "shard set rejected: %s\n",
-                     set.status().ToString().c_str());
-        return 1;
-      }
-      shards = std::move(set).value();
-      loaded = true;
-      std::printf("shard set: loaded %zu shards from %s.s*.snap in %.1f ms\n",
-                  shards.size(), args.snapshot_path.c_str(),
-                  timer.Restart() * 1e3);
-    }
-  }
-  if (!loaded) {
-    la::Matrix corpus = model->VectorizeAll(data.right.AllSentences());
-    index::HnswOptions hnsw_options;
-    hnsw_options.seed = args.seed;
-    index::LshOptions lsh_options;
-    lsh_options.seed = args.seed;
-    auto built = serve::BuildShardSnapshots(
-        base, corpus, static_cast<uint32_t>(args.shards), hnsw_options,
-        lsh_options);
-    if (!built.ok()) {
-      std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-      return 1;
-    }
-    shards = std::move(built).value();
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (storage.value() == serve::StorageKind::kInt8) {
-        const Status quantized = shards[s].Quantize();
-        if (!quantized.ok()) {
-          std::fprintf(stderr, "%s\n", quantized.ToString().c_str());
-          return 1;
-        }
-      }
-      if (!args.snapshot_path.empty()) {
-        const Status saved =
-            shards[s].SaveTo(ShardPath(args.snapshot_path, s, args.shards));
-        if (!saved.ok()) {
-          std::fprintf(stderr, "shard save failed: %s\n",
-                       saved.ToString().c_str());
-        }
-      }
-    }
-    std::printf("shard set: built %zu shards in %.1f ms\n", shards.size(),
-                timer.Restart() * 1e3);
-  }
-
-  // N x R engines (Snapshot is copyable — mmap'ed sets share one mapping),
-  // then the Router on top. Engine k matches the router's merge k.
-  // Recovery drill: --kill-replica s:r takes one replica down a third of
-  // the way into the run while mutations keep flowing; --rejoin-replica
-  // brings it back at two thirds and the run only exits 0 once catch-up
-  // converged the fleet. Needs live engines (the mutation path) and R >= 2
-  // so the group keeps serving through the outage.
-  const bool drill = !args.kill_replica.empty();
-  uint32_t kill_shard = 0;
-  size_t kill_rep = 0;
-  if (drill) {
-    int s = -1, r = -1;
-    if (std::sscanf(args.kill_replica.c_str(), "%d:%d", &s, &r) != 2 ||
-        s < 0 || r < 0 || static_cast<size_t>(s) >= args.shards ||
-        static_cast<size_t>(r) >= args.replicas) {
-      std::fprintf(stderr,
-                   "--kill-replica wants s:r with s < %zu and r < %zu\n",
-                   args.shards, args.replicas);
-      return 1;
-    }
-    if (args.replicas < 2) {
-      std::fprintf(stderr, "--kill-replica needs --replicas >= 2\n");
-      return 1;
-    }
-    kill_shard = static_cast<uint32_t>(s);
-    kill_rep = static_cast<size_t>(r);
-  }
-
-  serve::EngineOptions engine_options;
-  engine_options.k = args.k;
-  engine_options.max_queue = args.max_queue;
-  engine_options.max_batch = args.max_batch;
-  engine_options.max_wait_micros = args.wait_micros;
-  engine_options.live = drill;
-  std::vector<std::unique_ptr<serve::Engine>> engines;
-  for (size_t r = 0; r < std::max<size_t>(1, args.replicas); ++r) {
-    for (const serve::Snapshot& shard : shards) {
-      auto engine = serve::Engine::Create(shard, model, engine_options);
-      if (!engine.ok()) {
-        std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-        return 1;
-      }
-      engines.push_back(std::move(engine).value());
-    }
-  }
-  serve::RouterOptions router_options;
-  router_options.k = args.k;
-  router_options.max_queue = args.max_queue;
-  router_options.max_batch = args.max_batch;
-  router_options.max_wait_micros = args.wait_micros;
-  router_options.workers = args.workers;
-  router_options.queue_policy = PolicyFromFlag(args.policy);
-  router_options.quotas = QuotasFromFlags(args);
-  auto router =
-      serve::Router::Create(std::move(engines), model, router_options);
-  if (!router.ok()) {
-    std::fprintf(stderr, "%s\n", router.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("router: %u shards x %zu replicas, health=%s\n",
-              router.value()->shard_count(),
-              router.value()->replica_count(0),
-              serve::HealthName(router.value()->health()));
-
-  // Merged-result spot check through the live router: for exact indexes a
-  // handful of routed queries must answer bit-identically to the merge
-  // computed straight off the shard snapshots.
-  if (kind.value() == serve::IndexKind::kExact) {
-    const auto query_sentences = data.left.AllSentences();
-    const size_t probe = std::min<size_t>(8, query_sentences.size());
-    if (probe > 0) {
-      const la::Matrix probe_vectors = model->VectorizeAll(
-          {query_sentences.begin(), query_sentences.begin() + probe});
-      const auto expect = MergeAcrossShards(shards, probe_vectors, args.k);
-      std::vector<std::future<Result<serve::RouterReply>>> checks;
-      for (size_t q = 0; q < probe; ++q) {
-        auto submitted = router.value()->Submit(query_sentences[q]);
-        if (!submitted.ok()) {
-          std::fprintf(stderr, "spot-check submit failed: %s\n",
-                       submitted.status().ToString().c_str());
-          return 1;
-        }
-        checks.push_back(std::move(submitted).value());
-      }
-      for (size_t q = 0; q < probe; ++q) {
-        auto reply = checks[q].get();
-        if (!reply.ok() || reply.value().partial) {
-          std::fprintf(stderr, "spot-check FAILED: query %zu not fully "
-                       "answered\n", q);
-          return 1;
-        }
-        const auto& got = reply.value().neighbors;
-        if (got.size() != expect[q].size()) {
-          std::fprintf(stderr, "spot-check FAILED: query %zu size "
-                       "mismatch\n", q);
-          return 1;
-        }
-        for (size_t j = 0; j < got.size(); ++j) {
-          if (got[j].id != expect[q][j].id ||
-              got[j].distance != expect[q][j].distance) {
-            std::fprintf(stderr, "spot-check FAILED: query %zu rank %zu "
-                         "diverges\n", q, j);
-            return 1;
-          }
-        }
-      }
-      std::printf("spot-check: %zu routed queries match the shard merge\n",
-                  probe);
-    }
-  }
-  // The report counts only the timed workload below, not the probes. A
-  // batch's merge time is recorded just after its replies are sent, so wait
-  // (briefly) until every probe batch has recorded it.
-  serve::RouterMetrics before_workload = router.value()->Metrics();
-  for (int spin = 0; spin < 1000; ++spin) {
-    if (before_workload.merge_micros.count >= before_workload.batches) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    before_workload = router.value()->Metrics();
-  }
-
-  if (!args.trace_path.empty()) {
-    obs::Tracer::Global().Clear();
-    obs::Tracer::Global().SetEnabled(true);
-  }
-
-  const std::vector<std::string> queries = data.left.AllSentences();
-  if (queries.empty()) {
-    std::fprintf(stderr, "dataset has no query records\n");
-    return 1;
-  }
-  const auto total =
-      static_cast<size_t>(args.qps * args.duration_seconds + 0.5);
-  const size_t kill_at = drill ? total / 3 : total + 1;
-  const size_t rejoin_at =
-      (drill && args.rejoin_replica) ? (2 * total) / 3 : total + 1;
-  size_t missed_mutations = 0;
-  std::vector<std::future<Result<serve::RouterReply>>> futures;
-  futures.reserve(total);
-  const SteadyTime start = SteadyNow();
-  for (size_t i = 0; i < total; ++i) {
-    const SteadyTime at =
-        AfterMicros(start, static_cast<int64_t>(i * 1e6 / args.qps));
-    std::this_thread::sleep_until(at);
-    if (i == kill_at) {
-      const Status down = router.value()->KillReplica(kill_shard, kill_rep);
-      std::printf("drill: killed replica %u:%zu at query %zu (%s)\n",
-                  kill_shard, kill_rep, i,
-                  down.ok() ? "ok" : down.ToString().c_str());
-    }
-    if (i == rejoin_at) {
-      const Status up = router.value()->RejoinReplica(kill_shard, kill_rep);
-      std::printf("drill: rejoined replica %u:%zu at query %zu after %zu "
-                  "missed mutations (%s)\n",
-                  kill_shard, kill_rep, i, missed_mutations,
-                  up.ok() ? "ok" : up.ToString().c_str());
-    }
-    // The write stream never pauses: every 8th tick upserts, so a downed
-    // replica genuinely falls behind and has something to catch up on.
-    if (drill && i % 8 == 0) {
-      auto admitted = router.value()->Upsert(
-          "drill upsert " + std::to_string(i) + " " +
-          queries[i % queries.size()]);
-      if (admitted.ok() && i >= kill_at && i < rejoin_at) ++missed_mutations;
-    }
-    auto submitted = router.value()->Submit(queries[i % queries.size()],
-                                            OpenLoopSubmit(args, i));
-    if (submitted.ok()) futures.push_back(std::move(submitted).value());
-  }
-  size_t ok = 0, partial = 0;
-  for (auto& future : futures) {
-    auto reply = future.get();
-    if (reply.ok()) {
-      ++ok;
-      partial += reply.value().partial ? 1 : 0;
-    }
-  }
-  const double wall = MicrosBetween(start, SteadyNow()) / 1e6;
-
-  // Drill verdict (before Stop(), which joins the recovery worker): with a
-  // rejoin requested the fleet must converge — catch-up replay or resync
-  // finishing with every replica active — or the whole run fails closed.
-  bool converged = true;
-  if (drill && args.rejoin_replica) {
-    const SteadyTime deadline = AfterMicros(SteadyNow(), 15'000'000);
-    while (!router.value()->Converged() &&
-           MicrosBetween(SteadyNow(), deadline) > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    converged = router.value()->Converged();
-  }
-  std::string prometheus;
-  if (args.dump_metrics) {
-    prometheus = obs::Registry::Global().ToPrometheusText();
-  }
-  router.value()->Stop();
-  const serve::RouterMetrics metrics =
-      MetricsSince(before_workload, router.value()->Metrics());
-
-  if (!args.trace_path.empty()) {
-    obs::Tracer::Global().SetEnabled(false);
-    const auto spans = obs::Tracer::Global().Drain();
-    const Status written = obs::WriteChromeTrace(spans, args.trace_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "trace write failed: %s\n",
-                   written.ToString().c_str());
-    } else {
-      std::printf("trace: %zu spans -> %s\n", spans.size(),
-                  args.trace_path.c_str());
-    }
-  }
-
-  std::printf(
-      "\n%s %s k=%zu shards=%zu replicas=%zu: offered %.0f qps for %.1fs -> "
-      "achieved %.0f qps\n",
-      args.dataset.c_str(), args.index_kind.c_str(), args.k, args.shards,
-      args.replicas, args.qps, args.duration_seconds,
-      static_cast<double>(ok) / wall);
-  std::printf("accepted=%llu completed=%llu rejected=%llu throttled=%llu "
-              "expired=%llu late=%llu batches=%llu mean_batch=%.1f\n",
-              static_cast<unsigned long long>(metrics.submitted),
-              static_cast<unsigned long long>(metrics.completed),
-              static_cast<unsigned long long>(metrics.rejected),
-              static_cast<unsigned long long>(metrics.throttled),
-              static_cast<unsigned long long>(metrics.expired),
-              static_cast<unsigned long long>(metrics.deadline_misses),
-              static_cast<unsigned long long>(metrics.batches),
-              metrics.batch_size.Mean());
-  std::printf("failed=%llu partial=%llu shards_degraded=%llu "
-              "sibling_retries=%llu embed_retries=%llu\n",
-              static_cast<unsigned long long>(metrics.failed),
-              static_cast<unsigned long long>(metrics.partial),
-              static_cast<unsigned long long>(metrics.shards_degraded),
-              static_cast<unsigned long long>(metrics.sibling_retries),
-              static_cast<unsigned long long>(metrics.retries));
-  if (drill) {
-    std::printf(
-        "drill: availability=%.4f quarantines=%llu catchups=%llu "
-        "resyncs=%llu replayed=%llu digest_mismatches=%llu converged=%s\n",
-        futures.empty() ? 0.0
-                        : static_cast<double>(ok - partial) / futures.size(),
-        static_cast<unsigned long long>(metrics.quarantines),
-        static_cast<unsigned long long>(metrics.catchups),
-        static_cast<unsigned long long>(metrics.resyncs),
-        static_cast<unsigned long long>(metrics.replayed_mutations),
-        static_cast<unsigned long long>(metrics.digest_mismatches),
-        converged ? "yes" : "NO");
-    if (!converged) {
-      std::fprintf(stderr,
-                   "drill FAILED: replica %u:%zu never converged after "
-                   "rejoin\n",
-                   kill_shard, kill_rep);
-      return 1;
-    }
-  }
-  const auto dump = [](const char* name, const HistogramSnapshot& h) {
-    std::printf("%-12s p50=%8.0f us  p99=%8.0f us  max=%8.0f us\n", name,
-                h.Percentile(0.5), h.Percentile(0.99), h.max);
-  };
-  dump("queue", metrics.queue_micros);
-  dump("embed", metrics.embed_micros);
-  dump("fanout", metrics.fanout_micros);
-  dump("gather", metrics.gather_micros);
-  dump("merge", metrics.merge_micros);
-  dump("total", metrics.total_micros);
-  for (size_t s = 0; s < metrics.shard_micros.size(); ++s) {
-    for (size_t r = 0; r < metrics.shard_micros[s].size(); ++r) {
-      const auto& h = metrics.shard_micros[s][r];
-      std::printf("shard=%zu replica=%zu p50=%8.0f us  p99=%8.0f us  "
-                  "count=%llu\n",
-                  s, r, h.Percentile(0.5), h.Percentile(0.99),
-                  static_cast<unsigned long long>(h.count));
-    }
-  }
-  PrintTenantTable(metrics.tenants);
-  if (args.dump_metrics) std::printf("\n%s", prometheus.c_str());
-  return 0;
-}
-
-/// Shared workload for metrics-dump / trace-dump: snapshot + engine over
-/// the dataset's right side, then a closed-loop submit of `args.requests`
-/// queries from the left side. Returns the engine so callers can scrape or
-/// drain before stopping it; null on failure.
+/// Shared workload for metrics-dump / trace-dump: one engine over a
+/// snapshot built from the dataset's right side, then a closed-loop submit
+/// of `args.requests` queries from the left side. Returns the engine so
+/// callers can scrape or drain before stopping it; null on failure.
 std::unique_ptr<serve::Engine> RunSmallServe(const CliArgs& args) {
-  const auto spec = datagen::CleanCleanSpecById(args.dataset);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
+  DatasetInputs in;
+  if (PrepareInputs(args, in) != 0) return nullptr;
+  auto built = BuildShards(
+      args, in, in.model->VectorizeAll(in.data.right.AllSentences()), 1);
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     return nullptr;
   }
-  const auto kind = serve::IndexKindFromString(args.index_kind);
-  if (!kind.ok()) {
-    std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-    return nullptr;
-  }
-  const datagen::CleanCleanDataset data =
-      datagen::GenerateCleanClean(spec.value(), args.scale, args.seed);
-  auto model = std::shared_ptr<embed::EmbeddingModel>(
-      embed::CreateModel(embed::ModelId::kSGtrT5));
-  model->Initialize();
-  la::Matrix corpus = model->VectorizeAll(data.right.AllSentences());
-  serve::SnapshotManifest manifest;
-  manifest.model_code = model->info().code;
-  manifest.default_k = static_cast<uint32_t>(args.k);
-  manifest.kind = kind.value();
-  manifest.dataset = args.dataset;
-  index::HnswOptions hnsw_options;
-  hnsw_options.seed = args.seed;
-  index::LshOptions lsh_options;
-  lsh_options.seed = args.seed;
-  serve::Snapshot snapshot = serve::Snapshot::Build(
-      std::move(manifest), std::move(corpus), hnsw_options, lsh_options);
-
-  serve::EngineOptions options;
-  options.k = args.k;
-  options.max_batch = args.max_batch;
-  options.max_wait_micros = args.wait_micros;
-  options.workers = args.workers;
-  auto engine = serve::Engine::Create(std::move(snapshot), model, options);
+  auto engine =
+      serve::Engine::Create(std::move(built.value().front()), in.model,
+                            OptionsFromFlags<serve::EngineOptions>(args));
   if (!engine.ok()) {
     std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
     return nullptr;
   }
-  const std::vector<std::string> queries = data.left.AllSentences();
+  const std::vector<std::string> queries = in.data.left.AllSentences();
   if (queries.empty()) {
     std::fprintf(stderr, "dataset has no query records\n");
     return nullptr;
@@ -1530,20 +1401,11 @@ int RunTraceDump(const CliArgs& args) {
   tracer.SetEnabled(false);
   if (engine == nullptr) return 1;
   engine->Stop();
-  const auto spans = tracer.Drain();
-  const Status written = obs::WriteChromeTrace(spans, args.out_path);
-  if (!written.ok()) {
-    std::fprintf(stderr, "trace write failed: %s\n",
-                 written.ToString().c_str());
-    return 1;
-  }
-  std::printf("trace: %zu spans -> %s (open at ui.perfetto.dev; %llu dropped "
-              "by ring wraparound)\n\n",
-              spans.size(), args.out_path.c_str(),
-              static_cast<unsigned long long>(tracer.DroppedCount()));
-  std::printf("%-28s %8s %14s %14s\n", "stage", "spans", "total_ms",
+  const auto spans = WriteTrace(args.out_path);
+  if (!spans.ok()) return 1;
+  std::printf("\n%-28s %8s %14s %14s\n", "stage", "spans", "total_ms",
               "self_ms");
-  for (const obs::StageBreakdownRow& row : obs::StageBreakdown(spans)) {
+  for (const obs::StageBreakdownRow& row : obs::StageBreakdown(spans.value())) {
     std::printf("%-28s %8llu %14.3f %14.3f\n", row.name,
                 static_cast<unsigned long long>(row.spans),
                 row.total_micros / 1e3, row.self_micros / 1e3);
@@ -1614,38 +1476,24 @@ int RunSnapshotConvert(int argc, char** argv) {
 /// precision/recall/F1 are maintained incrementally (core::StreamClusters)
 /// and printed at checkpoints plus a final greppable summary line.
 int RunStreamDedup(const CliArgs& args) {
-  const auto spec = datagen::CleanCleanSpecById(args.dataset);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", args.dataset.c_str());
-    return 2;
+  DatasetInputs in;
+  if (const int refused = PrepareInputs(args, in); refused != 0) {
+    return refused;
   }
-  const datagen::CleanCleanDataset data =
-      datagen::GenerateCleanClean(spec.value(), args.scale, args.seed);
+  const datagen::CleanCleanDataset& data = in.data;
   eval::GroundTruth truth;
   for (const auto& match : data.matches) {
     truth.AddCleanCleanPair(match.first, match.second);
   }
-  auto model = std::shared_ptr<embed::EmbeddingModel>(
-      embed::CreateModel(embed::ModelId::kSGtrT5));
-  model->Initialize();
 
   // The live corpus starts EMPTY: zero rows, but the manifest carries the
   // model's dim so the engine's compatibility check still holds.
-  serve::SnapshotManifest manifest;
-  manifest.model_code = model->info().code;
-  manifest.default_k = static_cast<uint32_t>(args.k);
-  manifest.kind = serve::IndexKind::kExact;
-  manifest.dataset = args.dataset;
   serve::Snapshot empty = serve::Snapshot::Build(
-      std::move(manifest), la::Matrix(0, model->info().dim));
-
-  serve::EngineOptions options;
-  options.k = args.k;
-  options.max_batch = args.max_batch;
-  options.max_wait_micros = args.wait_micros;
-  options.workers = args.workers;
+      BaseManifest(args, *in.model, serve::IndexKind::kExact),
+      la::Matrix(0, in.model->info().dim));
+  auto options = OptionsFromFlags<serve::EngineOptions>(args);
   options.live = true;
-  auto created = serve::Engine::Create(std::move(empty), model, options);
+  auto created = serve::Engine::Create(std::move(empty), in.model, options);
   if (!created.ok()) {
     std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
     return 1;
@@ -1823,10 +1671,7 @@ int main(int argc, char** argv) {
   if (!ParseCli(argc, argv, 2, args)) return Usage(argv[0]);
   if (command == "block") return RunBlock(args);
   if (command == "pipeline") return RunPipeline(args);
-  if (command == "serve-bench") {
-    return args.shards > 1 || args.replicas > 1 ? RunServeBenchSharded(args)
-                                                : RunServeBench(args);
-  }
+  if (command == "serve-bench") return RunServeBench(args);
   if (command == "snapshot-shard") return RunSnapshotShard(args);
   if (command == "stream-dedup") return RunStreamDedup(args);
   if (command == "metrics-dump") return RunMetricsDump(args);
